@@ -207,7 +207,6 @@ func WithReplicas(k int) Option {
 type Ring struct {
 	rt       *router.Router
 	replicas int
-	snap     snapPointer // white-box test view; see compat.go
 }
 
 // New builds a ring over the given servers. Server names must be
@@ -223,7 +222,7 @@ func New(servers []string, opts ...Option) (*Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Ring{rt: rt, replicas: cfg.replicas, snap: snapPointer{rt: rt}}
+	r := &Ring{rt: rt, replicas: cfg.replicas}
 	for _, s := range servers {
 		if err := r.AddServer(s); err != nil {
 			return nil, err
@@ -388,12 +387,6 @@ func (r *Ring) NumKeys() int { return r.rt.NumKeys() }
 // one snapshot load, one jump-index block resolve, one shard lock
 // round, one journal group commit; see router.Router.PlaceBatch.
 func (r *Ring) PlaceBatch(keys []string, out []router.BatchResult) { r.rt.PlaceBatch(keys, out) }
-
-// PlaceReplicatedBatch is PlaceBatch under a replication factor; see
-// router.Router.PlaceReplicatedBatch.
-func (r *Ring) PlaceReplicatedBatch(keys []string, out []router.BatchResult) {
-	r.rt.PlaceReplicatedBatch(keys, out)
-}
 
 // LocateBatch looks up a block of placed keys; see
 // router.Router.LocateBatch.

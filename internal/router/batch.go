@@ -8,14 +8,14 @@
 // jump.LocateBlock), one lock round over the involved key shards, and
 // one journal fsync.
 //
-// Semantics are exactly the scalar paths': the same tie-variate
-// contract (candidate selection is shared code, not a reimplementation
-// — see selectReplicas/admitBounded — and the pre-resolved selection
-// mirrors Choose, pinned by the batch-vs-sequential equality tests in
-// batch_test.go), the same bounded-load admission, replication, and
-// write-ahead journaling rules. Keys are processed in input order with
-// load counters updated between keys, so a batch observes the same
-// load evolution a sequential loop over the scalar calls would.
+// Semantics are exactly the scalar paths': each key's block-resolved
+// candidates go through the same decide routine as a scalar Place
+// (choice.go), so selection, replication, draining and bounded-load
+// admission cannot differ, and the write-ahead journaling rules are
+// the same (pinned by the batch-vs-sequential equality tests in
+// batch_test.go). Keys are processed in input order with load counters
+// updated between keys, so a batch observes the same load evolution a
+// sequential loop over the scalar calls would.
 //
 // Locking: a batch locks every involved key shard in ascending shard
 // order before committing and unlocks after the journal write. All
@@ -89,6 +89,7 @@ type batchScratch struct {
 	h0s  []uint64        // per-key first-choice hash
 	hs   []uint64        // q*D candidate hashes, key-major
 	cand []int32         // q*D resolved candidate slots
+	ws   []choice        // one key's decision working set
 	ord  []int32         // key indices grouped by shard (LocateBatch)
 	cnt  [65]int32       // shard-bucket counting sort
 	ents []journal.Entry // write-ahead records for the batch
@@ -178,79 +179,6 @@ func (r *Router) resolveBlock(sc *batchScratch, t *Snapshot, keys []string, h0s 
 	}
 }
 
-// chooseFrom is Choose over pre-resolved candidates: cands[j] holds
-// the owner of the key's j-th hash choice. The selection must mirror
-// Choose/chooseAvoidDraining exactly (pinned by the batch-vs-
-// sequential equality tests).
-func (t *Snapshot) chooseFrom(cands []int32) (best int32, salt int) {
-	if t.draining > 0 {
-		return t.chooseAvoidDrainingFrom(cands)
-	}
-	best = cands[0]
-	if len(cands) == 1 {
-		return best, 0
-	}
-	bestLoad := t.RelLoad(best)
-	for j := 1; j < len(cands); j++ {
-		if s := cands[j]; s != best {
-			if rl := t.RelLoad(s); rl < bestLoad {
-				best, salt, bestLoad = s, j, rl
-			}
-		}
-	}
-	return best, salt
-}
-
-// chooseAvoidDrainingFrom mirrors chooseAvoidDraining over
-// pre-resolved candidates.
-func (t *Snapshot) chooseAvoidDrainingFrom(cands []int32) (best int32, salt int) {
-	best = -1
-	var bestLoad float64
-	for j, s := range cands {
-		if t.Drain[s] || s == best {
-			continue
-		}
-		if rl := t.RelLoad(s); best < 0 || rl < bestLoad {
-			best, salt, bestLoad = s, j, rl
-		}
-	}
-	if best >= 0 {
-		return best, salt
-	}
-	// Every candidate is draining: place anyway, unrestricted.
-	best, salt = cands[0], 0
-	bestLoad = t.RelLoad(best)
-	for j := 1; j < len(cands); j++ {
-		if s := cands[j]; s != best {
-			if rl := t.RelLoad(s); rl < bestLoad {
-				best, salt, bestLoad = s, j, rl
-			}
-		}
-	}
-	return best, salt
-}
-
-// dedupFrom compacts pre-resolved candidates to distinct slots with
-// the first choice index resolving to each — gatherCandidates over a
-// resolved block (pinned by the equality tests).
-func dedupFrom(cands []int32, cs *[MaxChoices]int32, salts *[MaxChoices]int8) int {
-	nc := 0
-	for j, s := range cands {
-		dup := false
-		for i := 0; i < nc; i++ {
-			if cs[i] == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			cs[nc], salts[nc] = s, int8(j)
-			nc++
-		}
-	}
-	return nc
-}
-
 // PlaceBatch places a block of keys with one bulk candidate resolve,
 // one lock round over the involved key shards, and one write-ahead
 // group commit. out[i] reports key i's outcome; len(out) must equal
@@ -302,6 +230,10 @@ func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 	done := sc.done[:0]
 	recs := sc.recs[:0]
 	d := t.D
+	if cap(sc.ws) < d {
+		sc.ws = make([]choice, d)
+	}
+	ws := sc.ws[:d]
 	var forwards, rejects int64
 	for i, key := range keys {
 		ks := r.keyShardFor(h0s[i])
@@ -309,38 +241,17 @@ func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 			out[i] = BatchResult{Err: fmt.Errorf("%s: key %q already placed", r.name, key)}
 			continue
 		}
-		cands := sc.cand[i*d : i*d+d]
-		var rec keyRec
-		if t.Bound > 0 {
-			var (
-				cs    [MaxChoices]int32
-				salts [MaxChoices]int8
-			)
-			nc := dedupFrom(cands, &cs, &salts)
-			var (
-				skipped   int
-				overshoot float64
-				ok        bool
-			)
-			rec, skipped, overshoot, ok = t.admitBounded(&cs, &salts, nc)
-			forwards += int64(skipped)
-			if !ok {
-				rejects++
-				out[i] = BatchResult{Err: &OverloadedError{
-					Router: r.name, Key: key, RetryAfter: retryAfter(overshoot),
-				}}
-				continue
-			}
-		} else if t.R <= 1 {
-			best, salt := t.chooseFrom(cands)
-			rec = singleRec(salt, best)
-		} else {
-			var (
-				cs    [MaxChoices]int32
-				salts [MaxChoices]int8
-			)
-			nc := dedupFrom(cands, &cs, &salts)
-			rec = t.selectReplicas(&cs, &salts, nc, nil)
+		for j := range ws {
+			ws[j].slot = sc.cand[i*d+j]
+		}
+		rec, skipped, overshoot, ok := t.decide(ws, nil, t.Bound > 0)
+		forwards += int64(skipped)
+		if !ok {
+			rejects++
+			out[i] = BatchResult{Err: &OverloadedError{
+				Router: r.name, Key: key, RetryAfter: retryAfter(overshoot),
+			}}
+			continue
 		}
 		// Commit under the shard lock so later batch keys (and the
 		// bounded-load mean) see this key's load, exactly as a
@@ -383,16 +294,6 @@ func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 		}
 	}
 	sc.h0s, sc.ents, sc.done, sc.recs = h0s, ents, done, recs
-}
-
-// PlaceReplicatedBatch is PlaceBatch under a replication factor: the
-// two are the same operation (PlaceBatch already pins each key to the
-// top-R of its candidates when replication is configured, exactly as
-// the scalar Place/PlaceReplicated pair shares one placement path);
-// the name exists so batch call sites mirror the scalar API and read
-// N replicas from the results.
-func (r *Router) PlaceReplicatedBatch(keys []string, out []BatchResult) {
-	r.PlaceBatch(keys, out)
 }
 
 // groupByShard fills sc.ord with the key indices grouped by ascending

@@ -188,25 +188,20 @@ func TestBoundedCapacityRelative(t *testing.T) {
 // candidate set itself collapsed.
 func distinctCandidates(g *Geo, key string) int {
 	t := g.rt.Snapshot()
-	var (
-		cs    [MaxChoices]int32
-		salts [MaxChoices]int8
-	)
-	return t.gatherCandidates(key, Hash('k', 0, key), &cs, &salts)
+	var ws [MaxChoices]choice
+	n, _, _ := t.distinct(t.candidates(key, Hash('k', 0, key), ws[:t.D]))
+	return n
 }
 
 // nonDrainingCandidates counts the key's distinct candidates that are
 // not draining.
 func nonDrainingCandidates(g *Geo, key string) int {
 	t := g.rt.Snapshot()
-	var (
-		cs    [MaxChoices]int32
-		salts [MaxChoices]int8
-	)
-	n := t.gatherCandidates(key, Hash('k', 0, key), &cs, &salts)
+	var ws [MaxChoices]choice
+	n, _, _ := t.distinct(t.candidates(key, Hash('k', 0, key), ws[:t.D]))
 	nd := 0
 	for i := 0; i < n; i++ {
-		if !t.Drain[cs[i]] {
+		if !t.Drain[ws[i].slot] {
 			nd++
 		}
 	}

@@ -354,12 +354,6 @@ func (g *Geo) NumKeys() int { return g.rt.NumKeys() }
 // one journal group commit; see Router.PlaceBatch.
 func (g *Geo) PlaceBatch(keys []string, out []BatchResult) { g.rt.PlaceBatch(keys, out) }
 
-// PlaceReplicatedBatch is PlaceBatch under a replication factor; see
-// Router.PlaceReplicatedBatch.
-func (g *Geo) PlaceReplicatedBatch(keys []string, out []BatchResult) {
-	g.rt.PlaceReplicatedBatch(keys, out)
-}
-
 // LocateBatch looks up a block of placed keys; see Router.LocateBatch.
 func (g *Geo) LocateBatch(keys []string, out []BatchResult) { g.rt.LocateBatch(keys, out) }
 

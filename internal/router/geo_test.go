@@ -268,7 +268,7 @@ func TestGeoReadPathAllocs(t *testing.T) {
 			}
 			snap := g.rt.Snapshot()
 			if got := testing.AllocsPerRun(200, func() {
-				snap.Choose("key-37", Hash('k', 0, "key-37"))
+				snap.decideKey("key-37", Hash('k', 0, "key-37"), nil, false)
 			}); got != 0 {
 				t.Errorf("candidate resolution allocates %v per run; want 0", got)
 			}

@@ -109,7 +109,7 @@ func (r *Router) PlanMigration(limit int) *MigrationPlan {
 			p.truncated = true
 			break
 		}
-		nrec := t.chooseReplicated(key, h0, loads)
+		nrec, _, _, _ := t.decideKey(key, h0, loads, false)
 		for i := 0; i < int(rec.n); i++ {
 			loads[rec.slots[i]]--
 		}

@@ -47,12 +47,7 @@ func (r *Router) SetReplication(rep int) error {
 }
 
 // Replication returns the configured replicas-per-key factor.
-func (r *Router) Replication() int {
-	if t := r.snap.Load(); t.R > 1 {
-		return t.R
-	}
-	return 1
-}
+func (r *Router) Replication() int { return r.snap.Load().R }
 
 // SetDraining marks a live server as draining (or clears the mark):
 // it keeps serving the keys it holds, but placements and failover
@@ -165,123 +160,6 @@ func (r *Router) Owners(key string, dst []string) ([]string, error) {
 	return dst, nil
 }
 
-// gatherCandidates collects the key's distinct candidate slots with
-// the first choice index that resolves to each, returning the count.
-// cs/salts must have MaxChoices capacity.
-func (t *Snapshot) gatherCandidates(key string, h0 uint64, cs *[MaxChoices]int32, salts *[MaxChoices]int8) int {
-	nc := 0
-	for j := 0; j < t.D; j++ {
-		h := h0
-		if j > 0 {
-			h = Hash('k', j, key)
-		}
-		s := t.Topo.Resolve(h)
-		dup := false
-		for i := 0; i < nc; i++ {
-			if cs[i] == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			cs[nc], salts[nc] = s, int8(j)
-			nc++
-		}
-	}
-	return nc
-}
-
-// dropDraining compacts draining slots out of a candidate list unless
-// that would empty it, reporting whether the drain filter applied.
-func (t *Snapshot) dropDraining(cs *[MaxChoices]int32, salts *[MaxChoices]int8, nc int) (int, bool) {
-	if t.draining == 0 {
-		return nc, false
-	}
-	k := 0
-	for i := 0; i < nc; i++ {
-		if !t.Drain[cs[i]] {
-			cs[k], salts[k] = cs[i], salts[i]
-			k++
-		}
-	}
-	if k == 0 {
-		return nc, false // every candidate drains: the filter must not apply
-	}
-	return k, k != nc
-}
-
-// chooseReplicated picks a key's full replica record: the min(R, nc)
-// least-relatively-loaded of its nc distinct candidates, draining
-// candidates excluded while an alternative exists, ties broken toward
-// the lower choice index. When loads is non-nil it overrides the live
-// counters — the migration planner uses this to simulate the load
-// movement of deltas it has already planned.
-func (t *Snapshot) chooseReplicated(key string, h0 uint64, loads []int64) keyRec {
-	var (
-		cs    [MaxChoices]int32
-		salts [MaxChoices]int8
-	)
-	nc := t.gatherCandidates(key, h0, &cs, &salts)
-	return t.selectReplicas(&cs, &salts, nc, loads)
-}
-
-// selectReplicas finishes a replicated choice over gathered distinct
-// candidates: drop draining candidates while an alternative exists,
-// then keep the min(R, remaining) least relatively loaded, ties toward
-// the lower choice index. Split from chooseReplicated so the batch
-// placement path (batch.go), which pre-resolves its candidates in
-// bulk, shares the selection verbatim with the scalar path.
-func (t *Snapshot) selectReplicas(cs *[MaxChoices]int32, salts *[MaxChoices]int8, nc int, loads []int64) keyRec {
-	var rels [MaxChoices]float64
-	nc, _ = t.dropDraining(cs, salts, nc)
-	for i := 0; i < nc; i++ {
-		if loads != nil {
-			rels[i] = float64(loads[cs[i]]) / t.Caps[cs[i]]
-		} else {
-			rels[i] = t.RelLoad(cs[i])
-		}
-	}
-	want := t.R
-	if want > nc {
-		want = nc
-	}
-	var rec keyRec
-	for k := 0; k < want; k++ {
-		bi := k
-		for i := k + 1; i < nc; i++ {
-			if rels[i] < rels[bi] {
-				bi = i
-			}
-		}
-		cs[k], cs[bi] = cs[bi], cs[k]
-		salts[k], salts[bi] = salts[bi], salts[k]
-		rels[k], rels[bi] = rels[bi], rels[k]
-		rec.slots[k], rec.salts[k] = cs[k], salts[k]
-	}
-	rec.n = int8(want)
-	return rec
-}
-
-// replicaTarget returns the replica count a conforming record must
-// have under this snapshot, and whether the drain filter applied to
-// the candidate set.
-func (t *Snapshot) replicaTarget(key string, h0 uint64) (want int, drainFiltered bool) {
-	var (
-		cs    [MaxChoices]int32
-		salts [MaxChoices]int8
-	)
-	nc := t.gatherCandidates(key, h0, &cs, &salts)
-	nc, drainFiltered = t.dropDraining(&cs, &salts, nc)
-	want = t.R
-	if want < 1 {
-		want = 1
-	}
-	if want > nc {
-		want = nc
-	}
-	return want, drainFiltered
-}
-
 // recValid reports whether rec is a legal record for the key under
 // snapshot t: every replica on a distinct live slot, resolving there
 // at its recorded choice index, no replica on a draining slot while a
@@ -289,23 +167,7 @@ func (t *Snapshot) replicaTarget(key string, h0 uint64) (want int, drainFiltered
 // snapshot's target. A legal record need not be the least-loaded
 // choice — placement is sticky.
 func (t *Snapshot) recValid(key string, h0 uint64, rec keyRec) bool {
-	if t.R <= 1 && t.draining == 0 {
-		// The single-owner fast path (one resolve, as before the
-		// replication layer).
-		if rec.n != 1 {
-			return false
-		}
-		s := rec.slots[0]
-		if t.Dead[s] {
-			return false
-		}
-		h := h0
-		if rec.salts[0] != 0 {
-			h = Hash('k', int(rec.salts[0]), key)
-		}
-		return t.Topo.Resolve(h) == s
-	}
-	want, drainFiltered := t.replicaTarget(key, h0)
+	want, drainFiltered := t.target(key, h0)
 	if int(rec.n) != want {
 		return false
 	}
@@ -361,7 +223,7 @@ func (t *Snapshot) checkRec(key string, rec keyRec) error {
 			}
 		}
 	}
-	want, drainFiltered := t.replicaTarget(key, h0)
+	want, drainFiltered := t.target(key, h0)
 	if int(rec.n) != want {
 		return fmt.Errorf("key %q has %d replicas, want %d", key, rec.n, want)
 	}
@@ -443,7 +305,7 @@ func (r *Router) Repair() (repaired, lost int) {
 // snapshot's target count with the least-loaded candidates not already
 // in the set. Reports whether no replica survived.
 func (t *Snapshot) repairRec(key string, h0 uint64, rec keyRec) (keyRec, bool) {
-	_, drainFiltered := t.replicaTarget(key, h0)
+	_, drainFiltered := t.target(key, h0)
 	var nrec keyRec
 	liveReplicas := 0
 	for i := 0; i < int(rec.n); i++ {
@@ -467,10 +329,9 @@ func (t *Snapshot) repairRec(key string, h0 uint64, rec keyRec) (keyRec, bool) {
 	}
 	allLost := liveReplicas == 0
 	// The full replacement set, least-loaded first; graft members not
-	// already surviving until the count is met. chooseReplicated and
-	// repairRec agree on the target count by construction (both are
-	// min(R, candidates)).
-	full := t.chooseReplicated(key, h0, nil)
+	// already surviving until the count is met. decide and target agree
+	// on the count by construction (both take it from distinct).
+	full, _, _, _ := t.decideKey(key, h0, nil, false)
 	if nrec.n > full.n {
 		nrec.n = full.n // replication factor lowered: shed extras
 	}

@@ -186,67 +186,6 @@ func (t *Snapshot) RelLoad(s int32) float64 {
 	return float64(t.Loads[s].Total()) / t.Caps[s]
 }
 
-// Choose runs the d-choice among the key's current candidates and
-// returns the winning slot and choice index. h0 must be
-// Hash('k', 0, key). The snapshot must have at least one live slot.
-// Draining candidates are passed over while a non-draining candidate
-// exists (a drained slot keeps serving the keys it has but takes no
-// new ones).
-func (t *Snapshot) Choose(key string, h0 uint64) (best int32, salt int) {
-	if t.draining > 0 {
-		return t.chooseAvoidDraining(key, h0)
-	}
-	best = t.Topo.Resolve(h0)
-	if t.D == 1 {
-		return best, 0
-	}
-	bestLoad := t.RelLoad(best)
-	for j := 1; j < t.D; j++ {
-		if s := t.Topo.Resolve(Hash('k', j, key)); s != best {
-			if rl := t.RelLoad(s); rl < bestLoad {
-				best, salt, bestLoad = s, j, rl
-			}
-		}
-	}
-	return best, salt
-}
-
-// chooseAvoidDraining is Choose for snapshots with draining slots: the
-// same least-relative-load scan restricted to non-draining candidates,
-// falling back to the unrestricted rule when every candidate drains.
-func (t *Snapshot) chooseAvoidDraining(key string, h0 uint64) (best int32, salt int) {
-	best = -1
-	var bestLoad float64
-	for j := 0; j < t.D; j++ {
-		h := h0
-		if j > 0 {
-			h = Hash('k', j, key)
-		}
-		s := t.Topo.Resolve(h)
-		if t.Drain[s] || s == best {
-			continue
-		}
-		if rl := t.RelLoad(s); best < 0 || rl < bestLoad {
-			best, salt, bestLoad = s, j, rl
-		}
-	}
-	if best >= 0 {
-		return best, salt
-	}
-	// Every candidate is draining: place anyway (the alternative is
-	// refusing the key), using the unrestricted comparison.
-	best, salt = t.Topo.Resolve(h0), 0
-	bestLoad = t.RelLoad(best)
-	for j := 1; j < t.D; j++ {
-		if s := t.Topo.Resolve(Hash('k', j, key)); s != best {
-			if rl := t.RelLoad(s); rl < bestLoad {
-				best, salt, bestLoad = s, j, rl
-			}
-		}
-	}
-	return best, salt
-}
-
 // clone copies the slot tables (sharing the counter pointers and the
 // topology until the Txn replaces it).
 func (t *Snapshot) clone() *Snapshot {
@@ -283,13 +222,6 @@ type keyRec struct {
 	n     int8              // replica count, 1 <= n <= MaxReplicas
 	salts [MaxReplicas]int8 // choice index per replica
 	slots [MaxReplicas]int32
-}
-
-// singleRec builds the n=1 record the pre-replication router kept.
-func singleRec(salt int, server int32) keyRec {
-	rec := keyRec{n: 1}
-	rec.salts[0], rec.slots[0] = int8(salt), server
-	return rec
 }
 
 // addLoads adjusts every replica's load counter (and the fleet-wide
@@ -337,7 +269,7 @@ func New(name string, d int) (*Router, error) {
 	for i := range r.keys {
 		r.keys[i].m = make(map[string]keyRec)
 	}
-	r.snap.Store(&Snapshot{D: d, name: name, index: make(map[string]int32), Total: &SlotLoad{}})
+	r.snap.Store(&Snapshot{D: d, R: 1, name: name, index: make(map[string]int32), Total: &SlotLoad{}})
 	return r, nil
 }
 
@@ -492,9 +424,9 @@ func (r *Router) keyShardFor(h0 uint64) *keyShard {
 	return &r.keys[h0&(keyShardCount-1)]
 }
 
-// place runs the shared placement path: choose the record (one owner
-// when R == 1, the top-R distinct candidates otherwise), charge the
-// load counters, and store it. Returns the snapshot the choice was
+// place runs the shared placement path: decide the record (the top-R
+// distinct candidates, under admission when the bound is on), charge
+// the load counters, and store it. Returns the snapshot the choice was
 // made against and the stored record.
 func (r *Router) place(key string) (*Snapshot, keyRec, error) {
 	h0 := Hash('k', 0, key)
@@ -509,33 +441,18 @@ func (r *Router) place(key string) (*Snapshot, keyRec, error) {
 		ks.mu.Unlock()
 		return nil, keyRec{}, fmt.Errorf("%s: key %q already placed", r.name, key)
 	}
-	var (
-		rec     keyRec
-		skipped int
-	)
-	if t.Bound > 0 {
-		var (
-			overshoot float64
-			ok        bool
-		)
-		rec, skipped, overshoot, ok = t.chooseBounded(key, h0)
-		if !ok {
-			ks.mu.Unlock()
-			if m := r.met.Load(); m != nil {
-				m.Rejects.Inc(h0)
-				if skipped > 0 {
-					m.Forwards.Add(h0, int64(skipped))
-				}
-			}
-			return nil, keyRec{}, &OverloadedError{
-				Router: r.name, Key: key, RetryAfter: retryAfter(overshoot),
+	rec, skipped, overshoot, ok := t.decideKey(key, h0, nil, t.Bound > 0)
+	if !ok {
+		ks.mu.Unlock()
+		if m := r.met.Load(); m != nil {
+			m.Rejects.Inc(h0)
+			if skipped > 0 {
+				m.Forwards.Add(h0, int64(skipped))
 			}
 		}
-	} else if t.R <= 1 {
-		best, salt := t.Choose(key, h0)
-		rec = singleRec(salt, best)
-	} else {
-		rec = t.chooseReplicated(key, h0, nil)
+		return nil, keyRec{}, &OverloadedError{
+			Router: r.name, Key: key, RetryAfter: retryAfter(overshoot),
+		}
 	}
 	if lg := r.jl.Load(); lg != nil {
 		// Write-ahead: the record must be durable before the placement
@@ -673,13 +590,7 @@ func (r *Router) Rebalance() int {
 		// server (a join captured the region, or the server left), or
 		// the replica count no longer matches the configured factor:
 		// re-run the choice among current candidates.
-		var nrec keyRec
-		if t.R <= 1 {
-			best, salt := t.Choose(key, h0)
-			nrec = singleRec(salt, best)
-		} else {
-			nrec = t.chooseReplicated(key, h0, nil)
-		}
+		nrec, _, _, _ := t.decideKey(key, h0, nil, false)
 		if lg != nil {
 			// Async: a lost tail update re-homes on the next pass.
 			if err := lg.AppendAsync(journal.Entry{Op: journal.OpUpdateRec, Name: key, Rec: recToJournal(nrec)}); err != nil {

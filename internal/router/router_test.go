@@ -214,3 +214,60 @@ func TestCoreServersSorted(t *testing.T) {
 		t.Fatal("NumServers/Choices wrong")
 	}
 }
+
+// TestCoreDefaultReplicationRepairAndMigrate: a router that never
+// called SetReplication is a single-owner router, and the recovery
+// passes must treat it as one — Repair re-homes every key onto a live
+// replica and a drain's migration plan moves every key somewhere,
+// rather than writing zero-replica records.
+func TestCoreDefaultReplicationRepairAndMigrate(t *testing.T) {
+	r := newModRouter(t, 2, "a", "b", "c", "d", "e", "f", "g", "h")
+	if got := r.Replication(); got != 1 {
+		t.Fatalf("default Replication() = %d, want 1", got)
+	}
+	const m = 400
+	for i := 0; i < m; i++ {
+		if _, err := r.Place(fmt.Sprintf("key-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Update(func(tx *Txn) (Topology, error) {
+		if _, err := tx.Remove("c"); err != nil {
+			return nil, err
+		}
+		return buildMod(tx), nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if repaired, _ := r.Repair(); repaired == 0 {
+		t.Fatal("removing a server left nothing to repair")
+	}
+	for i := 0; i < m; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		if _, err := r.LocateAny(key); err != nil {
+			t.Fatalf("after Repair: %v", err)
+		}
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatalf("after Repair: %v", err)
+	}
+
+	if err := r.SetDraining("e", true); err != nil {
+		t.Fatal(err)
+	}
+	p := r.PlanMigration(0)
+	if p.Len() == 0 {
+		t.Fatal("draining a server planned no moves")
+	}
+	for _, d := range p.Moves() {
+		if len(d.To) != 1 {
+			t.Fatalf("%v: want one destination", d)
+		}
+	}
+	if applied, skipped := p.ApplyAll(); applied != p.Len() || skipped != 0 {
+		t.Fatalf("applied %d, skipped %d of %d", applied, skipped, p.Len())
+	}
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatalf("after migration: %v", err)
+	}
+}

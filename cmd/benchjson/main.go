@@ -190,7 +190,9 @@ func locateParallel(rt serveLocator, keys []string) func(b *testing.B) {
 // collide. The worker counter lives in the builder scope because
 // testing.Benchmark re-invokes the function with growing b.N against
 // the SAME router — a goroutine may end its run with a key still
-// placed, so key ranges must be unique across invocations too.
+// placed, so key ranges must be unique across invocations too — and
+// across records on one router, so build one per router and reuse it
+// (see geoParallelRecords).
 func placeRemoveParallel(rt serveLocator) func(b *testing.B) {
 	var worker atomic.Int64
 	return func(b *testing.B) {
@@ -217,6 +219,31 @@ func placeRemoveParallel(rt serveLocator) func(b *testing.B) {
 			}
 		})
 	}
+}
+
+// geoParallelRecords measures parallel Locate and Place/Remove
+// throughput on geo at 1 proc and, when nprocs > 1, at nprocs. Both
+// place records share ONE placeRemoveParallel builder and so one
+// worker counter: the procs=1 record leaves keys placed, and a fresh
+// counter would hand the procs=N record those same key names, failing
+// its first Place inside RunParallel.
+func geoParallelRecords(geo *router.Geo, keys []string, label string, nprocs int) []result {
+	place := placeRemoveParallel(geo)
+	prev := runtime.GOMAXPROCS(1)
+	out := []result{
+		runParallel("router_geo_locate_parallel/"+label+"/procs=1", locateParallel(geo, keys)),
+		runParallel("router_geo_place_parallel/"+label+"/procs=1", place),
+	}
+	runtime.GOMAXPROCS(prev)
+	if nprocs > 1 {
+		prev = runtime.GOMAXPROCS(nprocs)
+		out = append(out,
+			runParallel(fmt.Sprintf("router_geo_locate_parallel/%s/procs=%d", label, nprocs),
+				locateParallel(geo, keys)),
+			runParallel(fmt.Sprintf("router_geo_place_parallel/%s/procs=%d", label, nprocs), place))
+		runtime.GOMAXPROCS(prev)
+	}
+	return out
 }
 
 // loadgenRecord runs one loadgen configuration and reports its
@@ -550,18 +577,7 @@ func collect() ([]result, error) {
 			}
 		}
 	}))
-	prev = runtime.GOMAXPROCS(1)
-	results = append(results,
-		runParallel("router_geo_locate_parallel/servers=1024/dim=2/procs=1", locateParallel(geo, gkeys)),
-		runParallel("router_geo_place_parallel/servers=1024/dim=2/procs=1", placeRemoveParallel(geo)))
-	runtime.GOMAXPROCS(prev)
-	if nprocs > 1 {
-		results = append(results,
-			runParallel(fmt.Sprintf("router_geo_locate_parallel/servers=1024/dim=2/procs=%d", nprocs),
-				locateParallel(geo, gkeys)),
-			runParallel(fmt.Sprintf("router_geo_place_parallel/servers=1024/dim=2/procs=%d", nprocs),
-				placeRemoveParallel(geo)))
-	}
+	results = append(results, geoParallelRecords(geo, gkeys, "servers=1024/dim=2", nprocs)...)
 
 	// --- Bulk serving path: LocateBatch/PlaceBatch on the same router ---
 	// One op is a 256-key bulk call, so ns/ball is per key and compares

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -71,5 +73,33 @@ func TestCompareGateErrors(t *testing.T) {
 	}
 	if _, err := compare(bad, 0.25, nil); err == nil {
 		t.Error("malformed baseline accepted")
+	}
+}
+
+// TestGeoParallelRecordsBackToBack runs the procs=1 and procs=2 geo
+// parallel records back to back on one small router, the sequence
+// collect runs on a multi-core host. The second place record must not
+// reuse a key the first left placed.
+func TestGeoParallelRecordsBackToBack(t *testing.T) {
+	old := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "200x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { flag.Set("test.benchtime", old) })
+	geo, keys, err := newBenchGeo(16, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := geoParallelRecords(geo, keys, "servers=16/dim=2", 2)
+	if len(recs) != 4 {
+		t.Fatalf("%d records, want 4", len(recs))
+	}
+	for _, r := range recs {
+		if !(r.OpsPerSec > 0) || math.IsNaN(r.NsPerOp) {
+			t.Errorf("%s: no completed run (ns/op %v, ops/s %v)", r.Name, r.NsPerOp, r.OpsPerSec)
+		}
+	}
+	if err := geo.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"geobalance/internal/geom"
 	"geobalance/internal/loadgen"
 	"geobalance/internal/metrics"
 	"geobalance/internal/router"
@@ -26,12 +25,6 @@ const (
 	watchRows = 12
 	watchCols = 24
 )
-
-// locator is the geometry question the watcher asks the target: the
-// torus router answers (promoted from router.Geo), the ring does not.
-type locator interface {
-	Location(name string) (geom.Vec, bool)
-}
 
 // watchView renders one frame per reporting tick. All state is touched
 // only from the reporting goroutine.
@@ -59,8 +52,8 @@ func newWatchView(reg *metrics.Registry) *watchView {
 }
 
 // render draws one frame: clear, header, heatmap, metrics ticker.
-func (wv *watchView) render(elapsed time.Duration, target loadgen.Target) {
-	wv.fillCells(target)
+func (wv *watchView) render(elapsed time.Duration, f loadgen.Fleet) {
+	wv.fillCells(f)
 
 	ops := wv.lm.Lookups.Value() + wv.lm.Places.Value() + wv.lm.Removes.Value()
 	rate := 0.0
@@ -107,14 +100,14 @@ func (wv *watchView) render(elapsed time.Duration, target loadgen.Target) {
 
 // fillCells folds the live loads into the heatmap grid. Cells with no
 // live server are NaN (rendered empty — a dead zone shows as a hole).
-func (wv *watchView) fillCells(target loadgen.Target) {
-	target.LoadsInto(wv.loads)
+func (wv *watchView) fillCells(f loadgen.Fleet) {
+	f.LoadsInto(wv.loads)
 	for i := range wv.cells {
 		wv.cells[i] = math.NaN()
 	}
-	if loc, ok := target.(locator); ok {
+	if f.Geo != nil {
 		for name, load := range wv.loads {
-			at, ok := loc.Location(name)
+			at, ok := f.Location(name)
 			if !ok {
 				continue
 			}

@@ -106,8 +106,7 @@
 //     interface (resolve a hashed key to the owning server slot).
 //   - internal/hashring is the ring facade: servers hash to sorted
 //     points in internal/jump form, a key hash resolves to its arc
-//     owner in O(1). Its public API is unchanged from before the
-//     split.
+//     owner in O(1).
 //   - router.Geo is the torus facade: servers sit at fixed k-D torus
 //     coordinates (e.g. datacenter lat/long), each key hashes to d
 //     points resolved through internal/torus's grid nearest-site
@@ -117,6 +116,15 @@
 //     the prior snapshot (torus.WithSite/WithoutSite splice the
 //     cell-CSR and overlapped-row indexes instead of re-sorting) —
 //     see examples/geo-router.
+//
+// Both facades embed the core (hashring.Ring{*router.Router},
+// router.Geo{*Router}), so Place, Locate, the batch calls,
+// replication, repair, migration and metrics are the core's own
+// methods, promoted; a facade adds only its topology-building
+// membership ops, its geometry queries, and its journal header. Journal
+// recovery runs one replay dispatch, Router.Replay, with the facade's
+// join and leave callbacks. internal/loadgen drives *router.Router
+// directly through loadgen.Fleet, which pairs the core with its facade.
 //
 // # Replication, failover, and live migration
 //

@@ -27,7 +27,6 @@ import (
 	"strings"
 	"time"
 
-	"geobalance/internal/geom"
 	"geobalance/internal/loadgen"
 	"geobalance/internal/metrics"
 	"geobalance/internal/viz"
@@ -90,12 +89,6 @@ func main() {
 	// Reading 2: the load map as the -watch view draws it — live
 	// servers binned by their actual torus coordinates, so the dead
 	// zone is an empty hole in the grid.
-	loc, ok := res.Router.(interface {
-		Location(name string) (geom.Vec, bool)
-	})
-	if !ok {
-		log.Fatal("torus router does not expose locations")
-	}
 	loads := make(map[string]int64)
 	res.Router.LoadsInto(loads)
 	cells := make([]float64, rows*cols)
@@ -103,7 +96,7 @@ func main() {
 		cells[i] = math.NaN()
 	}
 	for name, load := range loads {
-		at, ok := loc.Location(name)
+		at, ok := res.Router.Location(name)
 		if !ok {
 			continue
 		}

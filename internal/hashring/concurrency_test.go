@@ -106,7 +106,7 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 			defer readers.Done()
 			rr := rng.NewStream(99, uint64(w))
 			for i := 0; i < 3000; i++ {
-				snap := r.rt.Snapshot()
+				snap := r.Snapshot()
 				if err := checkSnapshot(snap); err != nil {
 					errc <- fmt.Errorf("reader %d iter %d: %w", w, i, err)
 					return
@@ -312,7 +312,7 @@ func TestReadPathAllocs(t *testing.T) {
 	}
 	// The decision itself is alloc-guarded in router/geo_test.go; here
 	// each choice's ring resolve must not allocate.
-	snap := r.rt.Snapshot()
+	snap := r.Snapshot()
 	if got := testing.AllocsPerRun(200, func() {
 		for j := 0; j < snap.D; j++ {
 			snap.Topo.Resolve(hashLabeled('k', j, "key-37"))
@@ -393,7 +393,7 @@ func FuzzMembershipOps(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			if err := checkSnapshot(r.rt.Snapshot()); err != nil {
+			if err := checkSnapshot(r.Snapshot()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -21,7 +21,10 @@
 // cache-line-padded sharded load counters, hash-sharded key records,
 // Place/Locate/Remove/Rebalance — is the space-agnostic serving core
 // in internal/router, shared verbatim with the torus-backed router.Geo.
-// The public API and its guarantees are unchanged by the split.
+// Ring embeds that core (*router.Router), so those methods are the
+// core's own, promoted; the package adds only the ring topology, the
+// membership ops that rebuild it, and the ring's journal header and
+// replay callbacks (journal.go).
 //
 // # Concurrency model
 //
@@ -61,7 +64,6 @@ import (
 
 	"geobalance/internal/journal"
 	"geobalance/internal/jump"
-	"geobalance/internal/metrics"
 	"geobalance/internal/router"
 )
 
@@ -201,11 +203,18 @@ func WithReplicas(k int) Option {
 }
 
 // Ring is a concurrent consistent-hashing ring with d-choice placement.
-// Lookups (Place, Locate, Remove) may run from any number of goroutines
+// It embeds the serving core: Place, Locate, Remove, Rebalance, the
+// batch, replication, bounded-load, migration and metrics surface are
+// router.Router's own methods, promoted unchanged, with the core's
+// concurrency contract — lookups may run from any number of goroutines
 // concurrently with each other and with membership changes; membership
-// ops and Rebalance serialize among themselves.
+// ops and Rebalance serialize among themselves. Ring adds only the
+// membership ops that rebuild the ring topology (AddServer,
+// RemoveServer) and the journal entry points StartJournal,
+// CompactJournal and Recover, which supply the ring header to the
+// core's journal methods they shadow.
 type Ring struct {
-	rt       *router.Router
+	*router.Router
 	replicas int
 }
 
@@ -222,7 +231,7 @@ func New(servers []string, opts ...Option) (*Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Ring{rt: rt, replicas: cfg.replicas}
+	r := &Ring{Router: rt, replicas: cfg.replicas}
 	for _, s := range servers {
 		if err := r.AddServer(s); err != nil {
 			return nil, err
@@ -242,7 +251,7 @@ func (r *Ring) rebuild(tx *router.Txn) router.Topology {
 // paid). Re-adding a removed server reuses its slot.
 func (r *Ring) AddServer(name string) error {
 	e := journal.Entry{Op: journal.OpAddServer, Name: name, Value: 1}
-	return r.rt.UpdateJournaled(e, func(tx *router.Txn) (router.Topology, error) {
+	return r.UpdateJournaled(e, func(tx *router.Txn) (router.Topology, error) {
 		if _, err := tx.Add(name); err != nil {
 			return nil, err
 		}
@@ -255,150 +264,10 @@ func (r *Ring) AddServer(name string) error {
 // is an error.
 func (r *Ring) RemoveServer(name string) error {
 	e := journal.Entry{Op: journal.OpRemoveServer, Name: name}
-	return r.rt.UpdateJournaled(e, func(tx *router.Txn) (router.Topology, error) {
+	return r.UpdateJournaled(e, func(tx *router.Txn) (router.Topology, error) {
 		if _, err := tx.Remove(name); err != nil {
 			return nil, err
 		}
 		return r.rebuild(tx), nil
 	})
 }
-
-// SetCapacity declares a server's relative capacity (default 1); the
-// d-choice comparison then uses load/capacity, so a capacity-2 server
-// accepts twice the keys of a capacity-1 server before losing ties.
-func (r *Ring) SetCapacity(name string, capacity float64) error {
-	return r.rt.SetCapacity(name, capacity)
-}
-
-// SetBoundedLoad enables (c > 1) or disables (c == 0) bounded-load
-// admission: placements forward past candidates above c times the
-// capacity-relative mean load and fail with router.ErrOverloaded when
-// every candidate is saturated; see router.Router.SetBoundedLoad.
-func (r *Ring) SetBoundedLoad(c float64) error { return r.rt.SetBoundedLoad(c) }
-
-// BoundedLoad returns the active bounded-load factor (0 = off).
-func (r *Ring) BoundedLoad() float64 { return r.rt.BoundedLoad() }
-
-// MeanRelLoad returns the capacity-relative mean load; see
-// router.Router.MeanRelLoad.
-func (r *Ring) MeanRelLoad() float64 { return r.rt.MeanRelLoad() }
-
-// MaxRelLoad returns the largest load/capacity ratio over live
-// servers; see router.Router.MaxRelLoad.
-func (r *Ring) MaxRelLoad() float64 { return r.rt.MaxRelLoad() }
-
-// SetReplication sets the replicas-per-key factor: each key is pinned
-// to the top-r of its d ring candidates; see
-// router.Router.SetReplication. Distinct from VirtualNodes, which
-// multiplies a server's ring positions.
-func (r *Ring) SetReplication(rep int) error { return r.rt.SetReplication(rep) }
-
-// Replication returns the configured replicas-per-key factor.
-func (r *Ring) Replication() int { return r.rt.Replication() }
-
-// SetDraining marks a server draining (serving reads, refusing new
-// keys) or clears the mark; see router.Router.SetDraining.
-func (r *Ring) SetDraining(name string, draining bool) error {
-	return r.rt.SetDraining(name, draining)
-}
-
-// PlaceReplicated is Place returning the replica count alongside the
-// primary; see router.Router.PlaceReplicated.
-func (r *Ring) PlaceReplicated(key string) (string, int, error) {
-	return r.rt.PlaceReplicated(key)
-}
-
-// LocateAny returns a live server holding the key, failing over past
-// dead or draining replicas; see router.Router.LocateAny.
-func (r *Ring) LocateAny(key string) (string, error) { return r.rt.LocateAny(key) }
-
-// Owners appends the key's recorded replica owners to dst; see
-// router.Router.Owners.
-func (r *Ring) Owners(key string, dst []string) ([]string, error) {
-	return r.rt.Owners(key, dst)
-}
-
-// Repair replaces the replicas lost to failures while leaving healthy
-// replicas in place; see router.Router.Repair.
-func (r *Ring) Repair() (repaired, lost int) { return r.rt.Repair() }
-
-// PlanMigration computes the write-log of key moves that would restore
-// the placement invariants; see router.Router.PlanMigration.
-func (r *Ring) PlanMigration(limit int) *router.MigrationPlan {
-	return r.rt.PlanMigration(limit)
-}
-
-// SetMetrics attaches (or detaches) an instrument set; see
-// router.Router.SetMetrics.
-func (r *Ring) SetMetrics(m *router.Metrics) { r.rt.SetMetrics(m) }
-
-// RegisterSlotLoads registers the scrape-time load collectors; see
-// router.Router.RegisterSlotLoads.
-func (r *Ring) RegisterSlotLoads(reg *metrics.Registry) { r.rt.RegisterSlotLoads(reg) }
-
-// Instrument builds, attaches, and registers the full instrument set;
-// see router.Router.Instrument.
-func (r *Ring) Instrument(reg *metrics.Registry) *router.Metrics { return r.rt.Instrument(reg) }
-
-// NumServers returns the number of live servers.
-func (r *Ring) NumServers() int { return r.rt.NumServers() }
-
-// Servers returns the live server names in sorted order.
-func (r *Ring) Servers() []string { return r.rt.Servers() }
-
-// Choices returns the configured number of hash choices per key.
-func (r *Ring) Choices() int { return r.rt.Choices() }
-
-// Place assigns a key to the least-loaded of its d candidate servers
-// and returns the server name. Placing an already-placed key is an
-// error (keys are sticky; see Locate). Safe for concurrent use; see
-// router.Router.Place for the exact racing-membership semantics.
-func (r *Ring) Place(key string) (string, error) { return r.rt.Place(key) }
-
-// Locate returns the server currently holding a placed key.
-func (r *Ring) Locate(key string) (string, error) { return r.rt.Locate(key) }
-
-// Remove deletes a placed key.
-func (r *Ring) Remove(key string) error { return r.rt.Remove(key) }
-
-// Rebalance restores the placement invariant after membership changes:
-// every key must live at the owner of its recorded hash choice; keys on
-// dead servers or captured arcs are re-placed at their least-loaded
-// current candidate. Returns the number of keys moved. See
-// router.Router.Rebalance for the concurrency contract.
-func (r *Ring) Rebalance() int { return r.rt.Rebalance() }
-
-// Loads returns a map of live server name to current key count, folding
-// the counter shards on demand.
-func (r *Ring) Loads() map[string]int64 { return r.rt.Loads() }
-
-// LoadsInto clears m and fills it with live server name -> key count
-// without allocating once m has grown to the membership size — the
-// reporting-loop counterpart of Loads.
-func (r *Ring) LoadsInto(m map[string]int64) { r.rt.LoadsInto(m) }
-
-// MaxLoad returns the largest key count over live servers.
-func (r *Ring) MaxLoad() int64 { return r.rt.MaxLoad() }
-
-// NumKeys returns the number of placed keys.
-func (r *Ring) NumKeys() int { return r.rt.NumKeys() }
-
-// PlaceBatch places a block of keys through the bulk serving path —
-// one snapshot load, one jump-index block resolve, one shard lock
-// round, one journal group commit; see router.Router.PlaceBatch.
-func (r *Ring) PlaceBatch(keys []string, out []router.BatchResult) { r.rt.PlaceBatch(keys, out) }
-
-// LocateBatch looks up a block of placed keys; see
-// router.Router.LocateBatch.
-func (r *Ring) LocateBatch(keys []string, out []router.BatchResult) { r.rt.LocateBatch(keys, out) }
-
-// RemoveBatch deletes a block of placed keys; see
-// router.Router.RemoveBatch.
-func (r *Ring) RemoveBatch(keys []string, out []router.BatchResult) { r.rt.RemoveBatch(keys, out) }
-
-// CheckInvariants verifies internal consistency; exported for tests.
-// Call it at quiescence (no Place/Remove in flight); membership changes
-// are excluded by its own locking. After membership churn, run
-// Rebalance first — keys legitimately sit on captured arcs or dead
-// servers until then.
-func (r *Ring) CheckInvariants() error { return r.rt.CheckInvariants() }

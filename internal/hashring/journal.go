@@ -1,14 +1,14 @@
 // Durability for the ring facade: the write-ahead journal hook and
 // the recovery constructor. The mechanics live in internal/journal
-// and the serving core's journal.go; this file only supplies the
-// ring-shaped header and replay dispatch. Unlike the geo facade, ring
-// membership entries carry no coordinates — server positions are a
-// pure function of the name, so replaying the adds reproduces the
-// ring bit-for-bit.
+// and the serving core's journal.go (including the one replay
+// dispatch, router.Router.Replay); this file only supplies the
+// ring-shaped header and the two membership callbacks. Unlike the geo
+// facade, ring membership entries carry no coordinates — server
+// positions are a pure function of the name, so replaying the adds
+// reproduces the ring bit-for-bit.
 package hashring
 
 import (
-	"errors"
 	"fmt"
 
 	"geobalance/internal/journal"
@@ -19,16 +19,13 @@ import (
 // state, attaches it, and records every subsequent mutation. Recover
 // the ring with Recover.
 func (r *Ring) StartJournal(dir string, opts journal.Options) (*journal.Log, error) {
-	hdr := journal.Header{Kind: "ring", D: r.rt.Choices(), Replicas: r.replicas}
-	return r.rt.StartJournal(dir, hdr, nil, opts)
+	hdr := journal.Header{Kind: "ring", D: r.Choices(), Replicas: r.replicas}
+	return r.Router.StartJournal(dir, hdr, nil, opts)
 }
 
 // CompactJournal folds the journal's WAL into a fresh snapshot; see
 // router.Router.CompactJournal.
-func (r *Ring) CompactJournal() error { return r.rt.CompactJournal(nil) }
-
-// Journal returns the attached journal (nil when durability is off).
-func (r *Ring) Journal() *journal.Log { return r.rt.Journal() }
+func (r *Ring) CompactJournal() error { return r.Router.CompactJournal(nil) }
 
 // Recover rebuilds a ring from the journal in dir — snapshot plus WAL
 // replay — and returns it with the journal attached and positioned to
@@ -50,24 +47,7 @@ func Recover(dir string, opts journal.Options) (*Ring, *journal.Recovered, error
 		lg.Close()
 		return nil, nil, &journal.CorruptError{Reason: err.Error()}
 	}
-	for i := range rec.Entries {
-		if err := rg.applyEntry(&rec.Entries[i]); err != nil {
-			lg.Close()
-			if !errors.Is(err, journal.ErrCorrupt) {
-				err = &journal.CorruptError{Reason: err.Error()}
-			}
-			return nil, nil, fmt.Errorf("hashring: replaying entry %d: %w", i, err)
-		}
-	}
-	rg.rt.SetJournal(lg)
-	return rg, rec, nil
-}
-
-// applyEntry replays one journal entry through the facade. The journal
-// is detached during replay, so nothing is re-journaled.
-func (rg *Ring) applyEntry(e *journal.Entry) error {
-	switch e.Op {
-	case journal.OpAddServer:
+	join := func(e *journal.Entry) error {
 		if err := rg.AddServer(e.Name); err != nil {
 			return err
 		}
@@ -75,22 +55,11 @@ func (rg *Ring) applyEntry(e *journal.Entry) error {
 			return rg.SetCapacity(e.Name, e.Value)
 		}
 		return nil
-	case journal.OpRemoveServer:
-		return rg.RemoveServer(e.Name)
-	case journal.OpSetCapacity:
-		return rg.SetCapacity(e.Name, e.Value)
-	case journal.OpSetDraining:
-		return rg.SetDraining(e.Name, e.Flag)
-	case journal.OpSetReplication:
-		return rg.SetReplication(e.Count)
-	case journal.OpSetBoundedLoad:
-		return rg.SetBoundedLoad(e.Value)
-	case journal.OpPlace:
-		return rg.rt.RestorePlace(e.Name, e.Rec)
-	case journal.OpUpdateRec:
-		return rg.rt.RestoreUpdate(e.Name, e.Rec)
-	case journal.OpRemoveKey:
-		return rg.rt.RestoreRemove(e.Name)
 	}
-	return &journal.CorruptError{Reason: fmt.Sprintf("unknown op %d", e.Op)}
+	if err := rg.Replay(rec.Entries, join, rg.RemoveServer); err != nil {
+		lg.Close()
+		return nil, nil, err
+	}
+	rg.SetJournal(lg)
+	return rg, rec, nil
 }

@@ -125,7 +125,9 @@ func (st *opState) doBatch(n int) {
 		if st.failover {
 			// Scalar failover reads; see the package comment.
 			for _, key := range look {
-				srv, err := st.target.LocateAny(key)
+				f := st.lv.acquire()
+				srv, err := f.LocateAny(key)
+				st.lv.release()
 				if errors.Is(err, router.ErrNoLiveReplica) {
 					ws.failedReads++
 					if lm != nil {
@@ -145,7 +147,9 @@ func (st *opState) doBatch(n int) {
 			}
 		} else {
 			out := st.bout[:len(look)]
-			st.target.LocateBatch(look, out)
+			f := st.lv.acquire()
+			f.LocateBatch(look, out)
+			st.lv.release()
 			for i := range out {
 				if out[i].Err != nil {
 					ws.errors++
@@ -180,7 +184,9 @@ func (st *opState) doBatch(n int) {
 		st.bremove = keys
 		out := st.bout[:nRemove]
 		t0 := time.Now()
-		st.target.RemoveBatch(keys, out)
+		f := st.lv.acquire()
+		f.RemoveBatch(keys, out)
+		st.lv.release()
 		lat := time.Since(t0).Nanoseconds() / int64(nRemove)
 		for i := range out {
 			if out[i].Err != nil {
@@ -222,7 +228,9 @@ func (st *opState) placeBatch(nPlace int) {
 	attempt := 0
 	for {
 		out := st.bout[:len(pend)]
-		st.target.PlaceBatch(pend, out)
+		f := st.lv.acquire()
+		f.PlaceBatch(pend, out)
+		st.lv.release()
 		retry := st.bpend[:0]
 		var maxHint time.Duration
 		rejected := 0

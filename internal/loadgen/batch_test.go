@@ -4,6 +4,7 @@
 package loadgen
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -77,32 +78,37 @@ func TestBatchOpenLoopShedAccounting(t *testing.T) {
 // path: batched placements are group-committed write-ahead, so a
 // mid-run crash plus journal recovery must still lose zero keys.
 func TestBatchKillRecovery(t *testing.T) {
-	res, err := Run(Config{
-		Space: "torus", Dim: 3, Servers: 24, Choices: 3, KeyReplicas: 2,
-		Workers: 4, Duration: 400 * time.Millisecond, Keys: 1 << 9,
-		LookupFrac: 0.7, Dist: "zipf", Seed: 21, Batch: 16,
-		JournalDir: t.TempDir(), Registry: metrics.NewRegistry(),
-		Failures: FailureScript{
-			{After: 60 * time.Millisecond, Kind: FailCrash, Frac: 0.1},
-			{After: 180 * time.Millisecond, Kind: FailKill},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d harness errors across the kill", res.Errors)
-	}
-	if res.LostKeys != 0 {
-		t.Fatalf("%d keys lost after recovery", res.LostKeys)
-	}
-	kill := res.Failures[1]
-	if kill.Kind != FailKill || kill.Err != "" || kill.Replayed == 0 {
-		t.Fatalf("kill outcome: %+v", kill)
-	}
-	res.Router.Repair()
-	res.Router.Rebalance()
-	if err := res.Router.CheckInvariants(); err != nil {
-		t.Fatalf("recovered fleet inconsistent: %v", err)
+	// Batch 32 is the size the CI race loadtests run.
+	for _, tc := range []struct{ dim, batch int }{{3, 16}, {2, 32}} {
+		t.Run(fmt.Sprintf("dim=%d/batch=%d", tc.dim, tc.batch), func(t *testing.T) {
+			res, err := Run(Config{
+				Space: "torus", Dim: tc.dim, Servers: 24, Choices: 3, KeyReplicas: 2,
+				Workers: 4, Duration: 400 * time.Millisecond, Keys: 1 << 9,
+				LookupFrac: 0.7, Dist: "zipf", Seed: 21, Batch: tc.batch,
+				JournalDir: t.TempDir(), Registry: metrics.NewRegistry(),
+				Failures: FailureScript{
+					{After: 60 * time.Millisecond, Kind: FailCrash, Frac: 0.1},
+					{After: 180 * time.Millisecond, Kind: FailKill},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Errors != 0 {
+				t.Fatalf("%d harness errors across the kill", res.Errors)
+			}
+			if res.LostKeys != 0 {
+				t.Fatalf("%d keys lost after recovery", res.LostKeys)
+			}
+			kill := res.Failures[1]
+			if kill.Kind != FailKill || kill.Err != "" || kill.Replayed == 0 {
+				t.Fatalf("kill outcome: %+v", kill)
+			}
+			res.Router.Repair()
+			res.Router.Rebalance()
+			if err := res.Router.CheckInvariants(); err != nil {
+				t.Fatalf("recovered fleet inconsistent: %v", err)
+			}
+		})
 	}
 }

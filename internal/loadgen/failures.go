@@ -168,7 +168,7 @@ func (f *FailureOutcome) String() string {
 // firing order. Victim selection draws from its own rng stream
 // (1<<34), so the script is deterministic given (Config, Seed) and
 // independent of the churner and the workers.
-func runFailures(target churnTarget, cfg *Config, lm *LoadMetrics,
+func runFailures(lv *liveFleet, cfg *Config, lm *LoadMetrics,
 	model *serviceModel, caps map[string]float64, stop <-chan struct{}) []FailureOutcome {
 	script := append(FailureScript(nil), cfg.Failures...)
 	sort.SliceStable(script, func(i, j int) bool { return script[i].After < script[j].After })
@@ -185,7 +185,7 @@ func runFailures(target churnTarget, cfg *Config, lm *LoadMetrics,
 			case <-t.C:
 			}
 		}
-		outcomes = append(outcomes, fireFailure(target, ev, fr, model, caps))
+		outcomes = append(outcomes, fireFailure(lv, cfg, ev, fr, model, caps))
 		if lm != nil {
 			lm.FailureEvents.Inc(0)
 		}
@@ -193,19 +193,20 @@ func runFailures(target churnTarget, cfg *Config, lm *LoadMetrics,
 	return outcomes
 }
 
-// fireFailure executes one event against the live fleet.
-func fireFailure(target churnTarget, ev FailureEvent, fr *rng.Rand,
+// fireFailure executes one event against the live fleet. Events fire
+// one at a time from this goroutine, the only one that swaps the
+// fleet, so a non-kill event holds one read lock for its whole run.
+func fireFailure(lv *liveFleet, cfg *Config, ev FailureEvent, fr *rng.Rand,
 	model *serviceModel, caps map[string]float64) FailureOutcome {
 	out := FailureOutcome{Kind: ev.Kind, At: ev.After}
 	if ev.Kind == FailKill {
 		// Whole-router crash and journal recovery; only runs with a
-		// journal attached, which is exactly when Run wraps the target.
-		w, ok := target.(*restartableTarget)
-		if !ok {
+		// journal attached.
+		if !lv.durable {
 			out.Err = "no journal attached"
 			return out
 		}
-		replayed, err := w.kill()
+		replayed, err := lv.kill(cfg)
 		if err != nil {
 			out.Err = err.Error()
 			return out
@@ -213,11 +214,15 @@ func fireFailure(target churnTarget, ev FailureEvent, fr *rng.Rand,
 		out.Replayed = replayed
 		// Standard post-crash discipline: re-home anything the replayed
 		// state left under-replicated, then tighten placement.
-		out.Repaired, out.Lost = target.Repair()
-		target.Rebalance()
+		f := lv.acquire()
+		out.Repaired, out.Lost = f.Repair()
+		f.Rebalance()
+		lv.release()
 		return out
 	}
-	victims := pickVictims(target, ev, fr)
+	f := lv.acquire()
+	defer lv.release()
+	victims := pickVictims(f, ev, fr)
 	if len(victims) == 0 {
 		return out
 	}
@@ -233,7 +238,7 @@ func fireFailure(target churnTarget, ev FailureEvent, fr *rng.Rand,
 				c = 1
 			}
 			c *= cascadeSlash
-			if target.SetCapacity(name, c) == nil {
+			if f.SetCapacity(name, c) == nil {
 				caps[name] = c
 				out.Slowed = append(out.Slowed, name)
 				if model != nil {
@@ -249,10 +254,10 @@ func fireFailure(target churnTarget, ev FailureEvent, fr *rng.Rand,
 		// away, then migrate every replica off in bounded batches while
 		// the traffic keeps running.
 		for _, name := range victims {
-			target.SetDraining(name, true)
+			f.SetDraining(name, true)
 		}
 		for rounds := 0; rounds < 64; rounds++ {
-			p := target.PlanMigration(2048)
+			p := f.PlanMigration(2048)
 			if p.Len() == 0 {
 				break
 			}
@@ -266,29 +271,12 @@ func fireFailure(target churnTarget, ev FailureEvent, fr *rng.Rand,
 		}
 	}
 	for _, name := range victims {
-		if target.removeServer(name) == nil {
+		if f.leave(name) == nil {
 			out.Killed = append(out.Killed, name)
 		}
 	}
-	out.Repaired, out.Lost = target.Repair()
+	out.Repaired, out.Lost = f.Repair()
 	return out
-}
-
-// regionTarget is the torus-geometry surface zone and cascade victim
-// selection needs. The torus target has it; the ring has no geometry.
-type regionTarget interface {
-	Dim() int
-	ServersInRegion(lo, hi geom.Vec) []string
-}
-
-// asRegionTarget unwraps the target's geometry surface, looking through
-// the crash-recovery wrapper when a journal is attached.
-func asRegionTarget(target churnTarget) (regionTarget, bool) {
-	if w, ok := target.(*restartableTarget); ok {
-		return w.region()
-	}
-	gt, ok := target.(regionTarget)
-	return gt, ok
 }
 
 // pickVictims selects the event's casualties from the current live
@@ -296,28 +284,26 @@ func asRegionTarget(target churnTarget) (regionTarget, bool) {
 // the torus kills the servers inside a random box whose volume is the
 // requested fraction; everything else (and a zone on the ring) samples
 // uniformly without replacement.
-func pickVictims(target churnTarget, ev FailureEvent, fr *rng.Rand) []string {
-	servers := target.Servers()
+func pickVictims(f Fleet, ev FailureEvent, fr *rng.Rand) []string {
+	servers := f.Servers()
 	if len(servers) < 2 {
 		return nil
 	}
 	maxKill := len(servers) - 1
-	if ev.Kind == FailZone || ev.Kind == FailCascade {
-		if gt, ok := asRegionTarget(target); ok {
-			dim := gt.Dim()
-			side := math.Pow(ev.Frac, 1/float64(dim))
-			lo := make(geom.Vec, dim)
-			hi := make(geom.Vec, dim)
-			for a := range lo {
-				lo[a] = fr.Float64()
-				hi[a] = math.Mod(lo[a]+side, 1)
-			}
-			victims := gt.ServersInRegion(lo, hi)
-			if len(victims) > maxKill {
-				victims = victims[:maxKill]
-			}
-			return victims
+	if (ev.Kind == FailZone || ev.Kind == FailCascade) && f.Geo != nil {
+		dim := f.Geo.Dim()
+		side := math.Pow(ev.Frac, 1/float64(dim))
+		lo := make(geom.Vec, dim)
+		hi := make(geom.Vec, dim)
+		for a := range lo {
+			lo[a] = fr.Float64()
+			hi[a] = math.Mod(lo[a]+side, 1)
 		}
+		victims := f.Geo.ServersInRegion(lo, hi)
+		if len(victims) > maxKill {
+			victims = victims[:maxKill]
+		}
+		return victims
 	}
 	n := int(math.Ceil(float64(len(servers)) * ev.Frac))
 	if n > maxKill {

@@ -55,7 +55,7 @@ func TestTorusReplicasLifted(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("%d op errors", res.Errors)
 	}
-	if got := res.Router.(geoTarget).Replication(); got != 3 {
+	if got := res.Router.Geo.Replication(); got != 3 {
 		t.Fatalf("router replication = %d, want 3", got)
 	}
 	if err := res.Router.CheckInvariants(); err != nil {

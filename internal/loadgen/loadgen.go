@@ -5,12 +5,13 @@
 // churner that adds and removes servers (with Rebalance) while the
 // workers run.
 //
-// Since the serving-layer split the harness drives ANY router built on
-// internal/router's core, selected by Config.Space: the ring-backed
+// The harness drives the serving core, *router.Router, directly. The
+// facade that owns it is selected by Config.Space — the ring-backed
 // hashring facade (the default) or the torus-backed geographic router
-// router.Geo, whose churned servers join at random torus coordinates.
-// The Target interface is the method set the harness needs; both
-// facades satisfy it.
+// router.Geo, whose churned servers join at random torus coordinates —
+// and only supplies membership and geometry. Fleet (fleet.go) carries
+// the core and its facade; a journaled run's kill event swaps in a
+// whole recovered Fleet.
 //
 // Each worker draws from its own deterministic rng stream
 // (rng.NewStream(seed, worker)), keeps its own latency histograms, and
@@ -29,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"geobalance/internal/geom"
 	"geobalance/internal/hashring"
 	"geobalance/internal/journal"
 	"geobalance/internal/metrics"
@@ -38,65 +38,6 @@ import (
 	"geobalance/internal/stats"
 	"geobalance/internal/workload"
 )
-
-// Target is the serving surface the harness drives: the method set
-// shared by hashring.Ring and router.Geo, including the replication,
-// failover, and live-migration surface the failure scripts exercise.
-type Target interface {
-	Place(key string) (string, error)
-	Locate(key string) (string, error)
-	LocateAny(key string) (string, error)
-	Owners(key string, dst []string) ([]string, error)
-	Remove(key string) error
-	PlaceBatch(keys []string, out []router.BatchResult)
-	LocateBatch(keys []string, out []router.BatchResult)
-	RemoveBatch(keys []string, out []router.BatchResult)
-	Rebalance() int
-	Repair() (repaired, lost int)
-	SetReplication(rep int) error
-	SetDraining(name string, draining bool) error
-	SetCapacity(name string, capacity float64) error
-	SetBoundedLoad(c float64) error
-	MeanRelLoad() float64
-	MaxRelLoad() float64
-	PlanMigration(limit int) *router.MigrationPlan
-	Instrument(reg *metrics.Registry) *router.Metrics
-	Servers() []string
-	NumKeys() int
-	NumServers() int
-	MaxLoad() int64
-	LoadsInto(map[string]int64)
-	CheckInvariants() error
-}
-
-// churnTarget extends Target with the membership ops the churner
-// needs; the coordinate-space routers differ in what a join requires
-// (the ring derives a position from the name, the torus needs
-// coordinates), so joins take the churner's rng.
-type churnTarget interface {
-	Target
-	addServer(name string, r *rng.Rand) error
-	removeServer(name string) error
-}
-
-// ringTarget adapts hashring.Ring.
-type ringTarget struct{ *hashring.Ring }
-
-func (t ringTarget) addServer(name string, _ *rng.Rand) error { return t.AddServer(name) }
-func (t ringTarget) removeServer(name string) error           { return t.RemoveServer(name) }
-
-// geoTarget adapts router.Geo: churned servers join at uniform random
-// torus coordinates drawn from the churner's stream.
-type geoTarget struct{ *router.Geo }
-
-func (t geoTarget) addServer(name string, r *rng.Rand) error {
-	at := make(geom.Vec, t.Dim())
-	for j := range at {
-		at[j] = r.Float64()
-	}
-	return t.AddServer(name, at)
-}
-func (t geoTarget) removeServer(name string) error { return t.RemoveServer(name) }
 
 // Config parameterizes one load-test run. Zero fields take the
 // documented defaults.
@@ -167,8 +108,8 @@ type Config struct {
 	// set, cuts it short). Ops is ignored. See arrivals.go.
 	Arrivals *ArrivalSchedule
 
-	// Registry, when set, instruments the run: the target router gets
-	// the full router_* instrument set (Target.Instrument) and the
+	// Registry, when set, instruments the run: the router under test
+	// gets the full router_* instrument set (Router.Instrument) and the
 	// harness counts its own traffic under loadgen_* (NewLoadMetrics).
 	// Nil runs stay on the zero-alloc uninstrumented paths.
 	Registry *metrics.Registry
@@ -183,10 +124,10 @@ type Config struct {
 
 	// ReportFunc, when set, replaces the default interim report line:
 	// it is called every ReportEvery with the elapsed time and the
-	// router under test (the -watch terminal view hangs off this
-	// hook). Called from the reporting goroutine; it must not block
-	// for long.
-	ReportFunc func(elapsed time.Duration, target Target)
+	// current fleet (the -watch terminal view hangs off this hook).
+	// Called from the reporting goroutine, holding the fleet's read
+	// lock in a journaled run; it must not block for long.
+	ReportFunc func(elapsed time.Duration, f Fleet)
 }
 
 // Result aggregates one run. The latency histograms hold sampled
@@ -254,8 +195,9 @@ type Result struct {
 	Workers   int
 	Procs     int
 
-	// Router is the driven router after the run, for invariant checks.
-	Router Target
+	// Router is the fleet after the run (the recovered one, when a kill
+	// event fired), for invariant checks.
+	Router Fleet
 }
 
 func (cfg *Config) applyDefaults() error {
@@ -375,46 +317,45 @@ func (cfg *Config) applyDefaults() error {
 	return nil
 }
 
-// buildTarget constructs the router under test with its initial fleet,
+// buildFleet constructs the router under test with its initial fleet,
 // applies the capacity bands, and returns the per-server capacity map
 // the service model seeds from.
-func (cfg *Config) buildTarget() (churnTarget, map[string]float64, error) {
+func (cfg *Config) buildFleet() (Fleet, map[string]float64, error) {
 	names := make([]string, cfg.Servers)
 	for i := range names {
 		names[i] = "server-" + strconv.Itoa(i)
 	}
-	var target churnTarget
+	var f Fleet
 	switch cfg.Space {
 	case "ring":
 		ring, err := hashring.New(names,
 			hashring.WithChoices(cfg.Choices), hashring.WithReplicas(cfg.Replicas))
 		if err != nil {
-			return nil, nil, err
+			return Fleet{}, nil, err
 		}
-		target = ringTarget{ring}
+		f = ringFleet(ring)
 	case "torus":
 		geo, err := router.NewGeo(cfg.Dim, cfg.Choices)
 		if err != nil {
-			return nil, nil, err
+			return Fleet{}, nil, err
 		}
+		f = geoFleet(geo)
 		// Deterministic server placement from a stream the workers and
 		// churner never touch.
 		sr := rng.NewStream(cfg.Seed, 1<<33)
-		t := geoTarget{geo}
 		for _, name := range names {
-			if err := t.addServer(name, sr); err != nil {
-				return nil, nil, err
+			if err := f.join(name, sr); err != nil {
+				return Fleet{}, nil, err
 			}
 		}
-		target = t
 	default:
-		return nil, nil, fmt.Errorf("loadgen: unknown space %q (want ring or torus)", cfg.Space)
+		return Fleet{}, nil, fmt.Errorf("loadgen: unknown space %q (want ring or torus)", cfg.Space)
 	}
-	caps, err := assignCapacities(target, names, cfg.Capacities)
+	caps, err := assignCapacities(f.Router, names, cfg.Capacities)
 	if err != nil {
-		return nil, nil, err
+		return Fleet{}, nil, err
 	}
-	return target, caps, nil
+	return f, caps, nil
 }
 
 func (cfg *Config) ranker() (workload.Ranker, error) {
@@ -453,20 +394,21 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	target, caps, err := cfg.buildTarget()
+	fl, caps, err := cfg.buildFleet()
 	if err != nil {
 		return nil, err
 	}
+	lv := &liveFleet{f: fl}
 	if cfg.KeyReplicas > 1 {
-		if err := target.SetReplication(cfg.KeyReplicas); err != nil {
+		if err := fl.SetReplication(cfg.KeyReplicas); err != nil {
 			return nil, err
 		}
 	}
-	// Optional instrumentation: router_* on the target, loadgen_* for
+	// Optional instrumentation: router_* on the router, loadgen_* for
 	// the harness's own traffic. Nil stays on the uninstrumented paths.
 	var lm *LoadMetrics
 	if cfg.Registry != nil {
-		target.Instrument(cfg.Registry)
+		fl.Instrument(cfg.Registry)
 		lm = NewLoadMetrics(cfg.Registry)
 		lm.Workers.Set(int64(cfg.Workers))
 	}
@@ -480,39 +422,32 @@ func Run(cfg Config) (*Result, error) {
 	hot := make([]string, cfg.Keys)
 	for i := range hot {
 		hot[i] = "hot:" + strconv.Itoa(i)
-		if _, err := target.Place(hot[i]); err != nil {
+		if _, err := fl.Place(hot[i]); err != nil {
 			return nil, err
 		}
 	}
 	if cfg.BoundedLoad > 0 {
-		if err := target.SetBoundedLoad(cfg.BoundedLoad); err != nil {
+		if err := fl.SetBoundedLoad(cfg.BoundedLoad); err != nil {
 			return nil, err
 		}
 	}
 
 	// Durable mode: attach the write-ahead journal after the preload —
 	// the snapshot carries the initial fleet and hot-key set, the WAL
-	// records only the run's own mutations — and swap in the
-	// crash-recovery wrapper that kill events restart the router
-	// through.
+	// records only the run's own mutations — and arm the fleet cell's
+	// read lock, which kill events swap a recovered fleet under.
 	if cfg.JournalDir != "" {
 		opts := journal.Options{}
 		if cfg.Registry != nil {
 			opts.Metrics = journal.NewMetrics(cfg.Registry)
 		}
-		var jerr error
-		switch t := target.(type) {
-		case geoTarget:
-			_, jerr = t.StartJournal(cfg.JournalDir, opts)
-		case ringTarget:
-			_, jerr = t.StartJournal(cfg.JournalDir, opts)
+		if err := fl.startJournal(cfg.JournalDir, opts); err != nil {
+			return nil, err
 		}
-		if jerr != nil {
-			return nil, jerr
-		}
-		rt := &restartableTarget{t: target, cfg: &cfg, opts: opts}
-		target = rt
-		defer rt.closeJournal()
+		lv.durable, lv.opts = true, opts
+		// Flush and close whichever journal the final fleet holds (reads
+		// keep working; further journaled writes would fail).
+		defer func() { lv.f.Journal().Close() }()
 	}
 
 	var (
@@ -545,7 +480,7 @@ func Run(cfg Config) (*Result, error) {
 		traffic.Add(1)
 		go func(w int) {
 			defer traffic.Done()
-			st := newOpState(target, &cfg, rk, rng.NewStream(cfg.Seed, uint64(w)), w,
+			st := newOpState(lv, &cfg, rk, rng.NewStream(cfg.Seed, uint64(w)), w,
 				&allStats[w], lm, hot, failover)
 			st.model, st.br = model, br
 			switch {
@@ -571,7 +506,7 @@ func Run(cfg Config) (*Result, error) {
 		failDone = make(chan struct{})
 		go func() {
 			defer close(failDone)
-			outcomes = runFailures(target, &cfg, lm, model, caps, failStop)
+			outcomes = runFailures(lv, &cfg, lm, model, caps, failStop)
 		}()
 	}
 
@@ -597,10 +532,11 @@ func Run(cfg Config) (*Result, error) {
 					return
 				case <-tick.C:
 				}
+				f := lv.acquire()
 				if len(added) == 0 || (len(added) < 8 && cr.Intn(2) == 0) {
 					name := "churn-" + strconv.Itoa(next)
 					next++
-					if target.addServer(name, cr) == nil {
+					if f.join(name, cr) == nil {
 						added = append(added, name)
 						churnEvents++
 						if lm != nil {
@@ -610,7 +546,7 @@ func Run(cfg Config) (*Result, error) {
 				} else {
 					name := added[0]
 					added = added[1:]
-					if target.removeServer(name) == nil {
+					if f.leave(name) == nil {
 						churnEvents++
 						if lm != nil {
 							lm.ChurnEvents.Inc(0)
@@ -618,8 +554,9 @@ func Run(cfg Config) (*Result, error) {
 					}
 				}
 				if cfg.Rebalance {
-					moved += target.Rebalance()
+					moved += f.Rebalance()
 				}
+				lv.release()
 			}
 		}()
 	}
@@ -642,11 +579,14 @@ func Run(cfg Config) (*Result, error) {
 					return
 				case <-tick.C:
 				}
+				f := lv.acquire()
 				if cfg.ReportFunc != nil {
-					cfg.ReportFunc(time.Since(start), target)
+					cfg.ReportFunc(time.Since(start), f)
+					lv.release()
 					continue
 				}
-				target.LoadsInto(loads)
+				f.LoadsInto(loads)
+				lv.release()
 				var total, max int64
 				for _, l := range loads {
 					total += l
@@ -680,13 +620,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 	elapsed := time.Since(start)
 
+	// Every goroutine that could swap or lock the fleet has stopped.
+	fl = lv.f
 	res := &Result{
 		Elapsed:     elapsed,
 		ChurnEvents: churnEvents,
 		MovedKeys:   moved,
 		Workers:     cfg.Workers,
 		Procs:       runtime.GOMAXPROCS(0),
-		Router:      target,
+		Router:      fl,
 	}
 	res.Failures = outcomes
 	for i := range allStats {
@@ -714,7 +656,7 @@ func Run(cfg Config) (*Result, error) {
 	if model != nil {
 		res.WorstQueue, res.MaxBacklog = model.maxBacklog()
 	}
-	res.MaxRelLoad = target.MaxRelLoad()
+	res.MaxRelLoad = fl.MaxRelLoad()
 	if cfg.Arrivals != nil {
 		res.Offered = cfg.Arrivals.Total()
 	}
@@ -725,16 +667,16 @@ func Run(cfg Config) (*Result, error) {
 	// The zero-lost-keys audit: after a final repair converges, every
 	// preloaded hot key must still be readable somewhere.
 	if failover {
-		target.Repair()
+		fl.Repair()
 		for _, key := range hot {
-			if _, err := target.LocateAny(key); err != nil {
+			if _, err := fl.LocateAny(key); err != nil {
 				res.LostKeys++
 			}
 		}
 	}
-	res.FinalKeys = target.NumKeys()
+	res.FinalKeys = fl.NumKeys()
 	loads := make(map[string]int64, cfg.Servers+8)
-	target.LoadsInto(loads)
+	fl.LoadsInto(loads)
 	var total int64
 	for _, l := range loads {
 		total += l
@@ -753,7 +695,7 @@ func Run(cfg Config) (*Result, error) {
 // one operation against it; the closed- and open-loop drivers differ
 // only in how they pace the doOp calls.
 type opState struct {
-	target   Target
+	lv       *liveFleet
 	cfg      *Config
 	rk       workload.Ranker
 	r        *rng.Rand
@@ -780,10 +722,10 @@ type opState struct {
 	bout                          []router.BatchResult
 }
 
-func newOpState(target Target, cfg *Config, rk workload.Ranker, r *rng.Rand,
+func newOpState(lv *liveFleet, cfg *Config, rk workload.Ranker, r *rng.Rand,
 	w int, ws *workerStats, lm *LoadMetrics, hot []string, failover bool) *opState {
 	st := &opState{
-		target: target, cfg: cfg, rk: rk, r: r, ws: ws, lm: lm,
+		lv: lv, cfg: cfg, rk: rk, r: r, ws: ws, lm: lm,
 		hot: hot, failover: failover, hint: uint64(w),
 		own:       make([]string, 256),
 		ownersBuf: make([]string, 0, router.MaxChoices),
@@ -822,19 +764,22 @@ func (st *opState) doOp() {
 			err error
 			srv string
 		)
+		f := st.lv.acquire()
 		if st.failover {
-			// The failover read: a dead primary is routed around, and a
-			// key with NO live replica is the scripted degradation a
-			// failure inflicts on purpose, not a harness error.
-			if srv, err = st.target.LocateAny(key); errors.Is(err, router.ErrNoLiveReplica) {
-				ws.failedReads++
-				if lm != nil {
-					lm.FailedReads.Inc(st.hint)
-				}
-				err, srv = nil, ""
-			}
+			srv, err = f.LocateAny(key)
 		} else {
-			srv, err = st.target.Locate(key)
+			srv, err = f.Locate(key)
+		}
+		st.lv.release()
+		// The failover read: a dead primary is routed around, and a key
+		// with NO live replica is the scripted degradation a failure
+		// inflicts on purpose, not a harness error.
+		if st.failover && errors.Is(err, router.ErrNoLiveReplica) {
+			ws.failedReads++
+			if lm != nil {
+				lm.FailedReads.Inc(st.hint)
+			}
+			err, srv = nil, ""
 		}
 		if st.model != nil && srv != "" {
 			st.observeRead(key, srv)
@@ -908,7 +853,9 @@ func (st *opState) doOp() {
 			ws.place.Add(time.Since(t0).Nanoseconds())
 		}
 	} else {
-		err := st.target.Remove(st.own[st.tail])
+		f := st.lv.acquire()
+		err := f.Remove(st.own[st.tail])
+		st.lv.release()
 		st.tail = (st.tail + 1) % len(st.own)
 		st.placed--
 		ws.removes++
@@ -986,7 +933,9 @@ func (st *opState) observeRead(key, srv string) {
 
 // altReplica returns one of key's owners other than srv, or "".
 func (st *opState) altReplica(key, srv string) string {
-	owners, err := st.target.Owners(key, st.ownersBuf[:0])
+	f := st.lv.acquire()
+	owners, err := f.Owners(key, st.ownersBuf[:0])
+	st.lv.release()
 	if err != nil {
 		return ""
 	}
@@ -1008,7 +957,9 @@ func (st *opState) placeWithRetry(key string, t0 time.Time) (string, error) {
 	ws, lm := st.ws, st.lm
 	attempt := 0
 	for {
-		srv, err := st.target.Place(key)
+		f := st.lv.acquire()
+		srv, err := f.Place(key)
+		st.lv.release()
 		if err == nil {
 			if attempt > 0 {
 				ws.recovered++

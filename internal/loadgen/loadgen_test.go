@@ -115,8 +115,8 @@ func TestRunTorusSpace(t *testing.T) {
 	if res.Errors != 0 {
 		t.Fatalf("%d op errors on the torus router", res.Errors)
 	}
-	if _, ok := res.Router.(geoTarget); !ok {
-		t.Fatalf("Router is %T, want the geo adapter", res.Router)
+	if res.Router.Geo == nil {
+		t.Fatalf("Router has no geo facade, want the torus router")
 	}
 	res.Router.Rebalance()
 	if err := res.Router.CheckInvariants(); err != nil {

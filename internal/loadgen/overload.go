@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"geobalance/internal/rng"
+	"geobalance/internal/router"
 )
 
 // CapacityClass is one band of a heterogeneous fleet: Frac of the
@@ -80,7 +81,7 @@ func ParseCapacities(s string) ([]CapacityClass, error) {
 // assignCapacities applies the capacity bands to the initial fleet in
 // server order (band order as given) and returns the resulting
 // per-server capacity map. Unlisted servers keep capacity 1.
-func assignCapacities(target Target, names []string, classes []CapacityClass) (map[string]float64, error) {
+func assignCapacities(rt *router.Router, names []string, classes []CapacityClass) (map[string]float64, error) {
 	caps := make(map[string]float64, len(names))
 	for _, name := range names {
 		caps[name] = 1
@@ -89,7 +90,7 @@ func assignCapacities(target Target, names []string, classes []CapacityClass) (m
 	for _, cl := range classes {
 		n := int(math.Ceil(cl.Frac * float64(len(names))))
 		for ; n > 0 && i < len(names); i, n = i+1, n-1 {
-			if err := target.SetCapacity(names[i], cl.Cap); err != nil {
+			if err := rt.SetCapacity(names[i], cl.Cap); err != nil {
 				return nil, err
 			}
 			caps[names[i]] = cl.Cap
@@ -154,7 +155,7 @@ func (m *serviceModel) clock(name string) *serverClock {
 }
 
 // setCapacity re-rates a server's virtual queue — the service-side
-// half of a capacity change (the router side is Target.SetCapacity).
+// half of a capacity change (the router side is Router.SetCapacity).
 func (m *serviceModel) setCapacity(name string, capacity float64) {
 	m.clock(name).rate.Store(math.Float64bits(m.rate * capacity))
 }

@@ -96,9 +96,50 @@ func TestKillRecoveryRing(t *testing.T) {
 	}
 }
 
+// TestJournaledReportLocates pins the -watch heatmap's input in a
+// journaled run: every interim report must hand over a router that
+// answers Location for a live server, before and after a kill swaps
+// in the recovered fleet. A report without locations renders the
+// torus heatmap empty.
+func TestJournaledReportLocates(t *testing.T) {
+	var reports, located int
+	res, err := Run(Config{
+		Space: "torus", Dim: 2, Servers: 16, Choices: 2,
+		Workers: 2, Duration: 300 * time.Millisecond, Keys: 1 << 8,
+		LookupFrac: 0.8, Seed: 25,
+		JournalDir:  t.TempDir(),
+		ReportEvery: 20 * time.Millisecond,
+		ReportFunc: func(_ time.Duration, f Fleet) {
+			servers := f.Servers()
+			if len(servers) == 0 {
+				return
+			}
+			reports++
+			if _, ok := f.Location(servers[0]); ok {
+				located++
+			}
+		},
+		Failures: FailureScript{
+			{After: 150 * time.Millisecond, Kind: FailKill},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reports == 0 {
+		t.Fatal("no interim reports")
+	}
+	if located != reports {
+		t.Fatalf("%d of %d reports could locate a live server", located, reports)
+	}
+	if len(res.Failures) != 1 || res.Failures[0].Err != "" {
+		t.Fatalf("kill outcome: %+v", res.Failures)
+	}
+}
+
 // TestJournaledRunWithoutKill: a JournalDir alone must journal the run
 // (zone victim selection still sees the torus geometry through the
-// wrapper) without changing any result contract.
+// fleet cell) without changing any result contract.
 func TestJournaledRunWithoutKill(t *testing.T) {
 	res, err := Run(Config{
 		Space: "torus", Dim: 2, Servers: 20, Choices: 3, KeyReplicas: 2,

@@ -187,7 +187,7 @@ func TestBoundedCapacityRelative(t *testing.T) {
 // this), so a record shorter than R is legitimate exactly when the
 // candidate set itself collapsed.
 func distinctCandidates(g *Geo, key string) int {
-	t := g.rt.Snapshot()
+	t := g.Snapshot()
 	var ws [MaxChoices]choice
 	n, _, _ := t.distinct(t.candidates(key, Hash('k', 0, key), ws[:t.D]))
 	return n
@@ -196,7 +196,7 @@ func distinctCandidates(g *Geo, key string) int {
 // nonDrainingCandidates counts the key's distinct candidates that are
 // not draining.
 func nonDrainingCandidates(g *Geo, key string) int {
-	t := g.rt.Snapshot()
+	t := g.Snapshot()
 	var ws [MaxChoices]choice
 	n, _, _ := t.distinct(t.candidates(key, Hash('k', 0, key), ws[:t.D]))
 	nd := 0
@@ -405,7 +405,7 @@ func TestAddWithCapacityRevive(t *testing.T) {
 	if err := g.AddServerWithCapacity("a", geom.Vec{0.3, 0.3}, 5); err != nil {
 		t.Fatal(err)
 	}
-	s := g.rt.Snapshot()
+	s := g.Snapshot()
 	slot, ok := s.Slot("a")
 	if !ok || s.Caps[slot] != 5 {
 		t.Fatalf("revived slot capacity = %v, want 5", s.Caps[slot])

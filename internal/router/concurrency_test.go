@@ -89,7 +89,7 @@ func TestGeoSnapshotConsistencyUnderChurn(t *testing.T) {
 			defer readers.Done()
 			rr := rng.NewStream(98, uint64(w))
 			for i := 0; i < 1500; i++ {
-				snap := g.rt.Snapshot()
+				snap := g.Snapshot()
 				if err := checkGeoSnapshot(snap); err != nil {
 					errc <- fmt.Errorf("reader %d iter %d: %w", w, i, err)
 					return

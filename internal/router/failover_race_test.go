@@ -159,8 +159,8 @@ func TestFailoverRacingRebalance(t *testing.T) {
 		t.Fatalf("after racing failover: %v", err)
 	}
 	var all []string
-	for i := range g.rt.keys {
-		ks := &g.rt.keys[i]
+	for i := range g.keys {
+		ks := &g.keys[i]
 		ks.mu.RLock()
 		for key := range ks.m {
 			all = append(all, key)

@@ -26,15 +26,22 @@ const MaxGeoDim = 8
 // geometric power of d choices with the torus metric standing in for
 // network proximity.
 //
-// The concurrency model, allocation guarantees, and method semantics
-// are exactly the serving core's (see the package comment and
-// Router's method docs): lookups are lock-free against immutable
+// Geo embeds the serving core: Place, Locate, Remove, the batch,
+// replication, bounded-load, migration and metrics surface are the
+// core's own methods, promoted unchanged, so the concurrency model,
+// allocation guarantees, and method semantics are exactly Router's
+// (see the package comment): lookups are lock-free against immutable
 // snapshots, Place/Locate/Remove on an unchanged membership are
-// allocation-free, and membership changes publish copy-on-write
-// snapshots whose torus index is built incrementally from the prior
-// snapshot (torus.WithSite/WithoutSite) rather than from scratch.
+// allocation-free. Geo adds only what the torus geometry needs:
+// membership ops that build the torus topology (AddServer,
+// AddServerWithCapacity, RemoveServer — copy-on-write snapshots whose
+// torus index is built incrementally from the prior snapshot,
+// torus.WithSite/WithoutSite), the geometry queries Location,
+// ServersInRegion and Dim, and the journal entry points StartJournal,
+// CompactJournal and RecoverGeo, which supply the torus header and
+// coordinates to the core's journal methods they shadow.
 type Geo struct {
-	rt  *Router
+	*Router
 	dim int
 }
 
@@ -130,7 +137,7 @@ func NewGeo(dim, d int) (*Geo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Geo{rt: rt, dim: dim}, nil
+	return &Geo{Router: rt, dim: dim}, nil
 }
 
 // Dim returns the torus dimension.
@@ -165,7 +172,7 @@ func (g *Geo) AddServerWithCapacity(name string, at geom.Vec, capacity float64) 
 	}
 	site := append(geom.Vec(nil), at...) // the topology keeps it; detach from the caller
 	e := journal.Entry{Op: journal.OpAddServer, Name: name, Value: capacity, Coords: site}
-	return g.rt.UpdateJournaled(e, func(tx *Txn) (Topology, error) {
+	return g.UpdateJournaled(e, func(tx *Txn) (Topology, error) {
 		slot, err := tx.AddWithCapacity(name, capacity)
 		if err != nil {
 			return nil, err
@@ -201,7 +208,7 @@ func (g *Geo) AddServerWithCapacity(name string, at geom.Vec, capacity float64) 
 // server is an error.
 func (g *Geo) RemoveServer(name string) error {
 	e := journal.Entry{Op: journal.OpRemoveServer, Name: name}
-	return g.rt.UpdateJournaled(e, func(tx *Txn) (Topology, error) {
+	return g.UpdateJournaled(e, func(tx *Txn) (Topology, error) {
 		slot, err := tx.Remove(name)
 		if err != nil {
 			return nil, err
@@ -225,7 +232,7 @@ func (g *Geo) RemoveServer(name string) error {
 
 // Location returns the torus coordinates of a live server (a copy).
 func (g *Geo) Location(name string) (geom.Vec, bool) {
-	s := g.rt.Snapshot()
+	s := g.Snapshot()
 	slot, ok := s.Slot(name)
 	if !ok || s.Dead[slot] {
 		return nil, false
@@ -234,65 +241,6 @@ func (g *Geo) Location(name string) (geom.Vec, bool) {
 	return append(geom.Vec(nil), t.space.Site(int(t.slotSite[slot]))...), true
 }
 
-// SetCapacity declares a server's relative capacity (default 1); see
-// Router.SetCapacity.
-func (g *Geo) SetCapacity(name string, capacity float64) error {
-	return g.rt.SetCapacity(name, capacity)
-}
-
-// SetBoundedLoad enables (c > 1) or disables (c == 0) bounded-load
-// admission; see Router.SetBoundedLoad.
-func (g *Geo) SetBoundedLoad(c float64) error { return g.rt.SetBoundedLoad(c) }
-
-// BoundedLoad returns the active bounded-load factor (0 = off).
-func (g *Geo) BoundedLoad() float64 { return g.rt.BoundedLoad() }
-
-// MeanRelLoad returns the capacity-relative mean load; see
-// Router.MeanRelLoad.
-func (g *Geo) MeanRelLoad() float64 { return g.rt.MeanRelLoad() }
-
-// MaxRelLoad returns the largest load/capacity ratio over live
-// servers; see Router.MaxRelLoad.
-func (g *Geo) MaxRelLoad() float64 { return g.rt.MaxRelLoad() }
-
-// SetReplication sets the replicas-per-key factor: each key is pinned
-// to the top-r of its d hashed torus candidates; see
-// Router.SetReplication.
-func (g *Geo) SetReplication(rep int) error { return g.rt.SetReplication(rep) }
-
-// Replication returns the configured replicas-per-key factor.
-func (g *Geo) Replication() int { return g.rt.Replication() }
-
-// SetDraining marks a server draining (serving reads, refusing new
-// keys) or clears the mark; see Router.SetDraining.
-func (g *Geo) SetDraining(name string, draining bool) error {
-	return g.rt.SetDraining(name, draining)
-}
-
-// PlaceReplicated is Place returning the replica count alongside the
-// primary; see Router.PlaceReplicated.
-func (g *Geo) PlaceReplicated(key string) (string, int, error) {
-	return g.rt.PlaceReplicated(key)
-}
-
-// LocateAny returns a live server holding the key, failing over past
-// dead or draining replicas; see Router.LocateAny.
-func (g *Geo) LocateAny(key string) (string, error) { return g.rt.LocateAny(key) }
-
-// Owners appends the key's recorded replica owners to dst; see
-// Router.Owners.
-func (g *Geo) Owners(key string, dst []string) ([]string, error) {
-	return g.rt.Owners(key, dst)
-}
-
-// Repair replaces the replicas lost to failures while leaving healthy
-// replicas in place; see Router.Repair.
-func (g *Geo) Repair() (repaired, lost int) { return g.rt.Repair() }
-
-// PlanMigration computes the write-log of key moves that would restore
-// the placement invariants; see Router.PlanMigration.
-func (g *Geo) PlanMigration(limit int) *MigrationPlan { return g.rt.PlanMigration(limit) }
-
 // ServersInRegion returns the live servers whose sites fall inside the
 // wrapped axis-aligned box [lo, hi) (per axis, the wrapped interval
 // from lo to hi — lo > hi wraps through zero), in sorted order. This
@@ -300,7 +248,7 @@ func (g *Geo) PlanMigration(limit int) *MigrationPlan { return g.rt.PlanMigratio
 // coordinate region maps to the set of servers a correlated failure
 // takes out together.
 func (g *Geo) ServersInRegion(lo, hi geom.Vec) []string {
-	s := g.rt.Snapshot()
+	s := g.Snapshot()
 	t, ok := s.Topo.(*geoTopo)
 	if !ok {
 		return nil
@@ -312,54 +260,3 @@ func (g *Geo) ServersInRegion(lo, hi geom.Vec) []string {
 	sort.Strings(out)
 	return out
 }
-
-// NumServers returns the number of live servers.
-func (g *Geo) NumServers() int { return g.rt.NumServers() }
-
-// Servers returns the live server names in sorted order.
-func (g *Geo) Servers() []string { return g.rt.Servers() }
-
-// Choices returns the configured number of hash choices per key.
-func (g *Geo) Choices() int { return g.rt.Choices() }
-
-// Place assigns a key to the least-loaded of the d sites nearest its
-// hashed torus points and returns the server name; see Router.Place.
-func (g *Geo) Place(key string) (string, error) { return g.rt.Place(key) }
-
-// Locate returns the server currently holding a placed key.
-func (g *Geo) Locate(key string) (string, error) { return g.rt.Locate(key) }
-
-// Remove deletes a placed key.
-func (g *Geo) Remove(key string) error { return g.rt.Remove(key) }
-
-// Rebalance re-homes keys stranded by membership changes; see
-// Router.Rebalance.
-func (g *Geo) Rebalance() int { return g.rt.Rebalance() }
-
-// Loads returns a map of live server name to current key count.
-func (g *Geo) Loads() map[string]int64 { return g.rt.Loads() }
-
-// LoadsInto clears m and fills it with live server name -> key count
-// without allocating once m has grown to the membership size.
-func (g *Geo) LoadsInto(m map[string]int64) { g.rt.LoadsInto(m) }
-
-// MaxLoad returns the largest key count over live servers.
-func (g *Geo) MaxLoad() int64 { return g.rt.MaxLoad() }
-
-// NumKeys returns the number of placed keys.
-func (g *Geo) NumKeys() int { return g.rt.NumKeys() }
-
-// PlaceBatch places a block of keys through the bulk serving path —
-// one snapshot load, one torus batch resolve, one shard lock round,
-// one journal group commit; see Router.PlaceBatch.
-func (g *Geo) PlaceBatch(keys []string, out []BatchResult) { g.rt.PlaceBatch(keys, out) }
-
-// LocateBatch looks up a block of placed keys; see Router.LocateBatch.
-func (g *Geo) LocateBatch(keys []string, out []BatchResult) { g.rt.LocateBatch(keys, out) }
-
-// RemoveBatch deletes a block of placed keys; see Router.RemoveBatch.
-func (g *Geo) RemoveBatch(keys []string, out []BatchResult) { g.rt.RemoveBatch(keys, out) }
-
-// CheckInvariants verifies the serving core's invariants plus the
-// torus index and site<->slot bijection; see Router.CheckInvariants.
-func (g *Geo) CheckInvariants() error { return g.rt.CheckInvariants() }

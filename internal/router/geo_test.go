@@ -266,7 +266,7 @@ func TestGeoReadPathAllocs(t *testing.T) {
 			}); got != 0 {
 				t.Errorf("Locate allocates %v per run; want 0", got)
 			}
-			snap := g.rt.Snapshot()
+			snap := g.Snapshot()
 			if got := testing.AllocsPerRun(200, func() {
 				snap.decideKey("key-37", Hash('k', 0, "key-37"), nil, false)
 			}); got != 0 {
@@ -297,7 +297,7 @@ func TestGeoReadPathAllocs(t *testing.T) {
 // points, expressed as server slots.
 func TestGeoResolveMatchesNearest(t *testing.T) {
 	g := newTestGeo(t, 50, 3, 2, 9)
-	snap := g.rt.Snapshot()
+	snap := g.Snapshot()
 	topo := snap.Topo.(*geoTopo)
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("probe-%d", i)

@@ -17,7 +17,7 @@
 // recovered router holds the key's previous record and the standard
 // post-recovery Repair/Rebalance pass re-homes it, with no key lost.
 //
-// Replay installs recorded outcomes verbatim (RestorePlace et al.)
+// Replay installs recorded outcomes verbatim (restorePlace et al.)
 // rather than re-running the d-choice rule, whose outcome depends on
 // load counters and racing traffic. Slot indices are stable under
 // total-order replay — slots are append-only and never reused for new
@@ -178,11 +178,11 @@ func (r *Router) recFromJournal(key string, jr journal.Rec) (keyRec, error) {
 	return rec, nil
 }
 
-// RestorePlace replays a journaled placement: the recorded replica set
+// restorePlace replays a journaled placement: the recorded replica set
 // is installed verbatim (no d-choice re-run) and charged to the load
 // counters. Replaying a key that already exists is corruption — a
 // correct log removes before it re-places.
-func (r *Router) RestorePlace(key string, jr journal.Rec) error {
+func (r *Router) restorePlace(key string, jr journal.Rec) error {
 	rec, err := r.recFromJournal(key, jr)
 	if err != nil {
 		return err
@@ -202,9 +202,9 @@ func (r *Router) RestorePlace(key string, jr journal.Rec) error {
 	return nil
 }
 
-// RestoreUpdate replays a journaled record replacement (rebalance,
+// restoreUpdate replays a journaled record replacement (rebalance,
 // repair, or migration delta). The key must exist.
-func (r *Router) RestoreUpdate(key string, jr journal.Rec) error {
+func (r *Router) restoreUpdate(key string, jr journal.Rec) error {
 	rec, err := r.recFromJournal(key, jr)
 	if err != nil {
 		return err
@@ -225,8 +225,8 @@ func (r *Router) RestoreUpdate(key string, jr journal.Rec) error {
 	return nil
 }
 
-// RestoreRemove replays a journaled key removal. The key must exist.
-func (r *Router) RestoreRemove(key string) error {
+// restoreRemove replays a journaled key removal. The key must exist.
+func (r *Router) restoreRemove(key string) error {
 	h0 := Hash('k', 0, key)
 	ks := r.keyShardFor(h0)
 	ks.mu.Lock()
@@ -300,16 +300,13 @@ func geoCoords(t *Snapshot, slot int32) []float64 {
 // state, attaches it, and records every subsequent mutation. Recover
 // the router with RecoverGeo.
 func (g *Geo) StartJournal(dir string, opts journal.Options) (*journal.Log, error) {
-	hdr := journal.Header{Kind: "geo", Dim: g.dim, D: g.rt.Choices()}
-	return g.rt.StartJournal(dir, hdr, geoCoords, opts)
+	hdr := journal.Header{Kind: "geo", Dim: g.dim, D: g.Choices()}
+	return g.Router.StartJournal(dir, hdr, geoCoords, opts)
 }
 
 // CompactJournal folds the journal's WAL into a fresh snapshot; see
 // Router.CompactJournal.
-func (g *Geo) CompactJournal() error { return g.rt.CompactJournal(geoCoords) }
-
-// Journal returns the attached journal (nil when durability is off).
-func (g *Geo) Journal() *journal.Log { return g.rt.Journal() }
+func (g *Geo) CompactJournal() error { return g.Router.CompactJournal(geoCoords) }
 
 // RecoverGeo rebuilds a geographic router from the journal in dir —
 // snapshot plus WAL replay — and returns it with the journal attached
@@ -332,14 +329,64 @@ func RecoverGeo(dir string, opts journal.Options) (*Geo, *journal.Recovered, err
 		lg.Close()
 		return nil, nil, &journal.CorruptError{Reason: err.Error()}
 	}
-	for i := range rec.Entries {
-		if err := g.applyEntry(&rec.Entries[i]); err != nil {
-			lg.Close()
-			return nil, nil, fmt.Errorf("geo: replaying entry %d: %w", i, asCorrupt(err))
+	join := func(e *journal.Entry) error {
+		at := make(geom.Vec, g.dim)
+		if e.Coords != nil {
+			if len(e.Coords) != g.dim {
+				return &journal.CorruptError{Reason: fmt.Sprintf("server %q at %d coordinates, want %d", e.Name, len(e.Coords), g.dim)}
+			}
+			copy(at, e.Coords)
+		}
+		return g.AddServerWithCapacity(e.Name, at, e.Value)
+	}
+	if err := g.Replay(rec.Entries, join, g.RemoveServer); err != nil {
+		lg.Close()
+		return nil, nil, err
+	}
+	g.SetJournal(lg)
+	return g, rec, nil
+}
+
+// Replay re-applies recovered journal entries in order — the one
+// replay dispatch both facades' recover constructors share. Server
+// adds and removes go through the facade's join and leave callbacks,
+// which rebuild its topology (a join receives the whole entry: name,
+// capacity and, on the torus, coordinates); every other op is the
+// core's own: flag and capacity changes, and the restore installs of
+// recorded key records. Run it before a journal is attached, so
+// nothing is re-journaled. A failing entry aborts the replay with an
+// error wrapping journal.ErrCorrupt that names its index.
+func (r *Router) Replay(entries []journal.Entry, join func(e *journal.Entry) error, leave func(name string) error) error {
+	for i := range entries {
+		if err := r.replayEntry(&entries[i], join, leave); err != nil {
+			return fmt.Errorf("%s: replaying entry %d: %w", r.name, i, asCorrupt(err))
 		}
 	}
-	g.rt.SetJournal(lg)
-	return g, rec, nil
+	return nil
+}
+
+func (r *Router) replayEntry(e *journal.Entry, join func(e *journal.Entry) error, leave func(name string) error) error {
+	switch e.Op {
+	case journal.OpAddServer:
+		return join(e)
+	case journal.OpRemoveServer:
+		return leave(e.Name)
+	case journal.OpSetCapacity:
+		return r.SetCapacity(e.Name, e.Value)
+	case journal.OpSetDraining:
+		return r.SetDraining(e.Name, e.Flag)
+	case journal.OpSetReplication:
+		return r.SetReplication(e.Count)
+	case journal.OpSetBoundedLoad:
+		return r.SetBoundedLoad(e.Value)
+	case journal.OpPlace:
+		return r.restorePlace(e.Name, e.Rec)
+	case journal.OpUpdateRec:
+		return r.restoreUpdate(e.Name, e.Rec)
+	case journal.OpRemoveKey:
+		return r.restoreRemove(e.Name)
+	}
+	return &journal.CorruptError{Reason: fmt.Sprintf("unknown op %d", e.Op)}
 }
 
 // asCorrupt types a replay failure as corruption: a facade rejecting a
@@ -351,37 +398,4 @@ func asCorrupt(err error) error {
 		return err
 	}
 	return &journal.CorruptError{Reason: err.Error()}
-}
-
-// applyEntry replays one journal entry through the facade. The journal
-// is detached during replay, so nothing is re-journaled.
-func (g *Geo) applyEntry(e *journal.Entry) error {
-	switch e.Op {
-	case journal.OpAddServer:
-		at := make(geom.Vec, g.dim)
-		if e.Coords != nil {
-			if len(e.Coords) != g.dim {
-				return &journal.CorruptError{Reason: fmt.Sprintf("server %q at %d coordinates, want %d", e.Name, len(e.Coords), g.dim)}
-			}
-			copy(at, e.Coords)
-		}
-		return g.AddServerWithCapacity(e.Name, at, e.Value)
-	case journal.OpRemoveServer:
-		return g.RemoveServer(e.Name)
-	case journal.OpSetCapacity:
-		return g.SetCapacity(e.Name, e.Value)
-	case journal.OpSetDraining:
-		return g.SetDraining(e.Name, e.Flag)
-	case journal.OpSetReplication:
-		return g.SetReplication(e.Count)
-	case journal.OpSetBoundedLoad:
-		return g.SetBoundedLoad(e.Value)
-	case journal.OpPlace:
-		return g.rt.RestorePlace(e.Name, e.Rec)
-	case journal.OpUpdateRec:
-		return g.rt.RestoreUpdate(e.Name, e.Rec)
-	case journal.OpRemoveKey:
-		return g.rt.RestoreRemove(e.Name)
-	}
-	return &journal.CorruptError{Reason: fmt.Sprintf("unknown op %d", e.Op)}
 }

@@ -9,8 +9,11 @@
 // that machinery once, parameterized over a small Topology interface
 // that resolves a hashed key to the server slot owning its location;
 // internal/hashring supplies the ring metric (jump-index arc lookup)
-// and router.Geo (geo.go) the torus metric (grid nearest-site lookup),
-// each as a thin facade.
+// and router.Geo (geo.go) the torus metric (grid nearest-site lookup).
+// Each facade embeds *Router, so the serving methods are the core's
+// own, promoted; a facade adds only its topology-building membership
+// ops, geometry queries, and journal header, and recovers through the
+// core's one replay dispatch, Router.Replay (journal.go).
 //
 // # Concurrency model
 //

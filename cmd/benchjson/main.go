@@ -585,7 +585,7 @@ func collect() ([]result, error) {
 	// cycles above (the place record is a REMOVE+PLACE cycle per key,
 	// like its scalar sibling). The batch path loads the snapshot once,
 	// bulk-hashes the keys, resolves candidates through the torus batch
-	// kernel, and commits shard by shard under one lock pass. Zero
+	// kernel, and commits each key under its own shard lock. Zero
 	// allocs is part of the gate — the shared scratch is pooled and
 	// sized by a warm-up call before the clock starts.
 	const bsz = 256

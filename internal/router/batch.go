@@ -1,12 +1,11 @@
 // Bulk serving fast path: LocateBatch/PlaceBatch/RemoveBatch amortize
 // the per-key costs of the scalar serving path — snapshot load,
-// candidate hashing, topology resolution, key-shard lock acquisition,
-// and (when a journal is attached) the group-commit fsync — across a
-// block of keys. This is the path a network server's request batches
-// hit (ROADMAP item 1): N keys cost one snapshot load, one bulk
-// resolve through the topology's block kernel (torus.NearestBatch or
-// jump.LocateBlock), one lock round over the involved key shards, and
-// one journal fsync.
+// candidate hashing, topology resolution, and (when a journal is
+// attached) the group-commit fsync — across a block of keys. This is
+// the path a network server's request batches hit (ROADMAP item 1): N
+// keys cost one snapshot load, one bulk resolve through the topology's
+// block kernel (torus.NearestBatch or jump.LocateBlock), and one
+// journal fsync.
 //
 // Semantics are exactly the scalar paths': each key's block-resolved
 // candidates go through the same decide routine as a scalar Place
@@ -17,14 +16,21 @@
 // updated between keys, so a batch observes the same load evolution a
 // sequential loop over the scalar calls would.
 //
-// Locking: a batch locks every involved key shard in ascending shard
-// order before committing and unlocks after the journal write. All
-// multi-shard paths (StartJournal, CheckInvariants, and the batches
-// here) acquire shards in ascending order and single-key paths hold at
-// most one shard, so the batch path introduces no lock-order cycle.
-// Holding the shard locks across the journal append preserves the
-// write-ahead contract batch-wide: no placement in the batch becomes
-// visible before its record is durable.
+// Locking: with no journal attached, a batch commits each key under
+// that key's shard lock alone, exactly the scalar Place/Remove
+// locking, so concurrent batches contend only where their keys share a
+// shard. Each key loads the snapshot under its lock and re-resolves
+// the not-yet-committed keys if it moved. It also loads the journal
+// pointer there: StartJournal publishes the journal while holding
+// every shard, so a key that sees none is in the journal's captured
+// state, and once one appears the rest of the batch takes the
+// journaled path. With a journal attached, the batch write-locks every
+// involved shard in ascending order and holds them across the one
+// AppendBatch, so no placement in the batch becomes visible before its
+// record is durable. All multi-shard paths (StartJournal,
+// CheckInvariants, and the journaled batches) acquire shards in
+// ascending order and single-key paths hold at most one shard, so the
+// batch path introduces no lock-order cycle.
 package router
 
 import (
@@ -93,8 +99,8 @@ type batchScratch struct {
 	ord  []int32         // key indices grouped by shard (LocateBatch)
 	cnt  [65]int32       // shard-bucket counting sort
 	ents []journal.Entry // write-ahead records for the batch
-	done []int32         // committed key indices, for rollback
-	recs []keyRec        // their records
+	done []int32         // journaled key indices, for rollback
+	recs []keyRec        // removed records, for rollback
 	res  ResolveScratch
 }
 
@@ -179,15 +185,27 @@ func (r *Router) resolveBlock(sc *batchScratch, t *Snapshot, keys []string, h0s 
 	}
 }
 
+// hashKeys fills sc.h0s with every key's first-choice hash, which
+// picks the key's shard, and returns it.
+func (sc *batchScratch) hashKeys(keys []string) []uint64 {
+	sc.h0s = growU64(sc.h0s, len(keys))
+	for i, key := range keys {
+		sc.h0s[i] = Hash('k', 0, key)
+	}
+	return sc.h0s
+}
+
 // PlaceBatch places a block of keys with one bulk candidate resolve,
-// one lock round over the involved key shards, and one write-ahead
-// group commit. out[i] reports key i's outcome; len(out) must equal
-// len(keys). Each key behaves exactly as a scalar Place issued in
-// input order would: sticky-duplicate and bounded-load rejections land
-// in out[i].Err (rejections wrap ErrOverloaded) without failing the
-// rest of the batch, replication and draining rules match, and later
-// keys in the batch observe earlier keys' load. A journal append
-// failure rolls the whole batch back and fails every admitted key.
+// committing each key under its own shard lock as a scalar Place
+// would, or, with a journal attached, under one ascending hold of the
+// involved shards and one write-ahead group commit. out[i] reports key
+// i's outcome; len(out) must equal len(keys). Each key behaves exactly
+// as a scalar Place issued in input order would: sticky-duplicate and
+// bounded-load rejections land in out[i].Err (rejections wrap
+// ErrOverloaded) without failing the rest of the batch, replication
+// and draining rules match, and later keys in the batch observe
+// earlier keys' load. A journal append failure rolls back and fails
+// every key the group commit covered.
 func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 	if len(out) != len(keys) {
 		panic(fmt.Sprintf("%s: PlaceBatch with %d results for %d keys", r.name, len(out), len(keys)))
@@ -197,103 +215,152 @@ func (r *Router) PlaceBatch(keys []string, out []BatchResult) {
 	}
 	sc := r.getBatchScratch()
 	defer r.putBatchScratch(sc)
-	sc.h0s = growU64(sc.h0s, len(keys))
-	h0s := sc.h0s
-	for i, key := range keys {
-		h0s[i] = Hash('k', 0, key)
+	p := placeRun{r: r, sc: sc, keys: keys, h0s: sc.hashKeys(keys), out: out}
+	// Optimistic bulk resolve outside any lock, kept for each key only
+	// while the snapshot loaded under its shard lock is unchanged (the
+	// scalar path's load-under-lock rule, per key).
+	p.t = r.snap.Load()
+	if p.t.Live > 0 {
+		r.resolveBlock(sc, p.t, keys, p.h0s)
 	}
-	mask := shardMask(h0s)
-	// Optimistic bulk resolve outside the locks; kept only if the
-	// snapshot is unchanged when we hold them (the scalar path's
-	// load-under-lock rule, batch-wide).
-	t := r.snap.Load()
-	if t.Live > 0 {
-		r.resolveBlock(sc, t, keys, h0s)
-	}
-	r.lockShards(mask)
-	if t2 := r.snap.Load(); t2 != t {
-		t = t2
-		if t.Live > 0 {
-			r.resolveBlock(sc, t, keys, h0s)
-		}
-	}
-	if t.Live == 0 {
-		r.unlockShards(mask)
-		err := fmt.Errorf("%s: no servers", r.name)
-		for i := range out {
-			out[i] = BatchResult{Err: err}
-		}
-		return
-	}
-	lg := r.jl.Load()
-	ents := sc.ents[:0]
-	done := sc.done[:0]
-	recs := sc.recs[:0]
-	d := t.D
-	if cap(sc.ws) < d {
+	if d := p.t.D; cap(sc.ws) < d {
 		sc.ws = make([]choice, d)
 	}
-	ws := sc.ws[:d]
-	var forwards, rejects int64
-	for i, key := range keys {
-		ks := r.keyShardFor(h0s[i])
-		if _, dup := ks.m[key]; dup {
-			out[i] = BatchResult{Err: fmt.Errorf("%s: key %q already placed", r.name, key)}
-			continue
-		}
-		for j := range ws {
-			ws[j].slot = sc.cand[i*d+j]
-		}
-		rec, skipped, overshoot, ok := t.decide(ws, nil, t.Bound > 0)
-		forwards += int64(skipped)
-		if !ok {
-			rejects++
-			out[i] = BatchResult{Err: &OverloadedError{
-				Router: r.name, Key: key, RetryAfter: retryAfter(overshoot),
-			}}
-			continue
-		}
-		// Commit under the shard lock so later batch keys (and the
-		// bounded-load mean) see this key's load, exactly as a
-		// sequential scalar loop would. Nothing is visible outside
-		// until the shards unlock, after the journal append.
-		rec.addLoads(t, h0s[i], 1)
-		ks.m[key] = rec
-		if lg != nil {
-			ents = append(ents, journal.Entry{Op: journal.OpPlace, Name: key, Rec: recToJournal(rec)})
-		}
-		done = append(done, int32(i))
-		recs = append(recs, rec)
-		out[i] = BatchResult{Server: t.Names[rec.slots[0]], N: int(rec.n)}
+	p.ws = sc.ws[:p.t.D]
+	if i := p.placeEach(); i < len(keys) {
+		p.placeHeld(i)
 	}
-	if lg != nil && len(ents) > 0 {
+	if p.placed > 0 {
+		r.nkeys.Add(p.placed)
+	}
+	if m := r.met.Load(); m != nil {
+		if p.placed > 0 {
+			m.Places.Add(p.h0s[0], p.placed)
+		}
+		if p.forwards > 0 {
+			m.Forwards.Add(p.h0s[0], p.forwards)
+		}
+		if p.rejects > 0 {
+			m.Rejects.Add(p.h0s[0], p.rejects)
+		}
+	}
+}
+
+// placeRun is one PlaceBatch call in progress: sc.cand holds the
+// candidates of keys[base:], resolved against t, and the counters
+// accumulate the call's metrics.
+type placeRun struct {
+	r    *Router
+	sc   *batchScratch
+	keys []string
+	h0s  []uint64
+	out  []BatchResult
+	ws   []choice
+	t    *Snapshot
+	base int
+
+	placed, forwards, rejects int64
+}
+
+// sync re-resolves keys[i:] if the membership moved since sc.cand was
+// resolved. The caller holds key i's shard lock, so the snapshot a key
+// is decided against is one loaded under its lock.
+func (p *placeRun) sync(i int) {
+	if t := p.r.snap.Load(); t != p.t {
+		p.t, p.base = t, i
+		if t.Live > 0 {
+			p.r.resolveBlock(p.sc, t, p.keys[i:], p.h0s[i:])
+		}
+	}
+}
+
+// place decides key i against p.t and commits it: charge the loads and
+// store the record, so later keys (and the bounded-load mean) see it
+// exactly as a sequential scalar loop would. The caller holds the
+// key's shard lock ks. Failures land in out[i].
+func (p *placeRun) place(ks *keyShard, i int) (keyRec, bool) {
+	t, key := p.t, p.keys[i]
+	if t.Live == 0 {
+		p.out[i] = BatchResult{Err: fmt.Errorf("%s: no servers", p.r.name)}
+		return keyRec{}, false
+	}
+	if _, dup := ks.m[key]; dup {
+		p.out[i] = BatchResult{Err: fmt.Errorf("%s: key %q already placed", p.r.name, key)}
+		return keyRec{}, false
+	}
+	cand := p.sc.cand[(i-p.base)*t.D:]
+	for j := range p.ws {
+		p.ws[j].slot = cand[j]
+	}
+	rec, skipped, overshoot, ok := t.decide(p.ws, nil, t.Bound > 0)
+	p.forwards += int64(skipped)
+	if !ok {
+		p.rejects++
+		p.out[i] = BatchResult{Err: &OverloadedError{
+			Router: p.r.name, Key: key, RetryAfter: retryAfter(overshoot),
+		}}
+		return keyRec{}, false
+	}
+	rec.addLoads(t, p.h0s[i], 1)
+	ks.m[key] = rec
+	p.placed++
+	p.out[i] = BatchResult{Server: t.Names[rec.slots[0]], N: int(rec.n)}
+	return rec, true
+}
+
+// placeEach commits the keys one at a time, each under only its own
+// shard lock, and returns how many it handled. It stops before key i
+// if a journal is attached by then: StartJournal publishes the journal
+// while holding every shard, so each key committed here is in the
+// journal's captured state, and keys[i:] must be journaled.
+func (p *placeRun) placeEach() int {
+	for i := range p.keys {
+		ks := p.r.keyShardFor(p.h0s[i])
+		ks.mu.Lock()
+		if p.r.jl.Load() != nil {
+			ks.mu.Unlock()
+			return i
+		}
+		p.sync(i)
+		p.place(ks, i)
+		ks.mu.Unlock()
+	}
+	return len(p.keys)
+}
+
+// placeHeld commits keys[from:] under the journaled discipline: every
+// shard they touch write-locked in ascending order, and one
+// AppendBatch group commit before the unlock, so no placement becomes
+// visible before its record is durable. A failed append rolls all of
+// them back.
+func (p *placeRun) placeHeld(from int) {
+	r, sc := p.r, p.sc
+	mask := shardMask(p.h0s[from:])
+	r.lockShards(mask)
+	p.sync(from)
+	lg := r.jl.Load()
+	ents, done := sc.ents[:0], sc.done[:0]
+	for i := from; i < len(p.keys); i++ {
+		if rec, ok := p.place(r.keyShardFor(p.h0s[i]), i); ok && lg != nil {
+			ents = append(ents, journal.Entry{Op: journal.OpPlace, Name: p.keys[i], Rec: recToJournal(rec)})
+			done = append(done, int32(i))
+		}
+	}
+	if len(ents) > 0 {
 		if err := lg.AppendBatch(ents); err != nil {
 			jerr := fmt.Errorf("%s: journal: %w", r.name, err)
-			for k, i := range done {
-				ks := r.keyShardFor(h0s[i])
-				delete(ks.m, keys[i])
-				recs[k].addLoads(t, h0s[i], -1)
-				out[i] = BatchResult{Err: jerr}
+			for _, i := range done {
+				ks := r.keyShardFor(p.h0s[i])
+				rec := ks.m[p.keys[i]]
+				rec.addLoads(p.t, p.h0s[i], -1)
+				delete(ks.m, p.keys[i])
+				p.out[i] = BatchResult{Err: jerr}
 			}
-			done = done[:0]
+			p.placed -= int64(len(done))
 		}
 	}
 	r.unlockShards(mask)
-	if len(done) > 0 {
-		r.nkeys.Add(int64(len(done)))
-	}
-	if m := r.met.Load(); m != nil {
-		if len(done) > 0 {
-			m.Places.Add(h0s[0], int64(len(done)))
-		}
-		if forwards > 0 {
-			m.Forwards.Add(h0s[0], forwards)
-		}
-		if rejects > 0 {
-			m.Rejects.Add(h0s[0], rejects)
-		}
-	}
-	sc.h0s, sc.ents, sc.done, sc.recs = h0s, ents, done, recs
+	sc.ents, sc.done = ents, done
 }
 
 // groupByShard fills sc.ord with the key indices grouped by ascending
@@ -332,11 +399,7 @@ func (r *Router) LocateBatch(keys []string, out []BatchResult) {
 	}
 	sc := r.getBatchScratch()
 	defer r.putBatchScratch(sc)
-	sc.h0s = growU64(sc.h0s, len(keys))
-	h0s := sc.h0s
-	for i, key := range keys {
-		h0s[i] = Hash('k', 0, key)
-	}
+	h0s := sc.hashKeys(keys)
 	ord := sc.groupByShard(h0s)
 	t := r.snap.Load()
 	var served int64
@@ -365,11 +428,13 @@ func (r *Router) LocateBatch(keys []string, out []BatchResult) {
 	}
 }
 
-// RemoveBatch deletes a block of placed keys with one lock round over
-// the involved key shards and one write-ahead group commit. out[i]
-// reports key i's outcome (Server is the removed primary); unplaced
-// keys get a not-placed error without failing the rest. A journal
-// append failure rolls the whole batch back.
+// RemoveBatch deletes a block of placed keys, each under its own
+// shard lock as a scalar Remove would, or, with a journal attached,
+// under one ascending hold of the involved shards and one write-ahead
+// group commit. out[i] reports key i's outcome (Server is the removed
+// primary); unplaced keys get a not-placed error without failing the
+// rest. A journal append failure rolls back every key the group commit
+// covered.
 func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 	if len(out) != len(keys) {
 		panic(fmt.Sprintf("%s: RemoveBatch with %d results for %d keys", r.name, len(out), len(keys)))
@@ -379,11 +444,45 @@ func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 	}
 	sc := r.getBatchScratch()
 	defer r.putBatchScratch(sc)
-	sc.h0s = growU64(sc.h0s, len(keys))
-	h0s := sc.h0s
-	for i, key := range keys {
-		h0s[i] = Hash('k', 0, key)
+	h0s := sc.hashKeys(keys)
+	var removed int64
+	i := 0
+	// Per-key commit; stop before key i if a journal is attached by
+	// then, as placeEach does.
+	for ; i < len(keys); i++ {
+		ks := r.keyShardFor(h0s[i])
+		ks.mu.Lock()
+		if r.jl.Load() != nil {
+			ks.mu.Unlock()
+			break
+		}
+		rec, ok := ks.m[keys[i]]
+		if !ok {
+			ks.mu.Unlock()
+			out[i] = BatchResult{Err: fmt.Errorf("%s: key %q not placed", r.name, keys[i])}
+			continue
+		}
+		delete(ks.m, keys[i])
+		t := r.snap.Load()
+		rec.addLoads(t, h0s[i], -1)
+		ks.mu.Unlock()
+		out[i] = BatchResult{Server: t.Names[rec.slots[0]], N: int(rec.n)}
+		removed++
 	}
+	if i < len(keys) {
+		removed += r.removeHeld(sc, keys[i:], h0s[i:], out[i:])
+	}
+	if removed > 0 {
+		r.nkeys.Add(-removed)
+		if m := r.met.Load(); m != nil {
+			m.Removes.Add(h0s[0], removed)
+		}
+	}
+}
+
+// removeHeld deletes keys under the journaled discipline (see
+// placeHeld) and returns how many it removed.
+func (r *Router) removeHeld(sc *batchScratch, keys []string, h0s []uint64, out []BatchResult) int64 {
 	mask := shardMask(h0s)
 	r.lockShards(mask)
 	t := r.snap.Load()
@@ -406,7 +505,7 @@ func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 		recs = append(recs, rec)
 		out[i] = BatchResult{Server: t.Names[rec.slots[0]], N: int(rec.n)}
 	}
-	if lg != nil && len(ents) > 0 {
+	if len(ents) > 0 {
 		if err := lg.AppendBatch(ents); err != nil {
 			jerr := fmt.Errorf("%s: journal: %w", r.name, err)
 			for k, i := range done {
@@ -423,11 +522,6 @@ func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 		recs[k].addLoads(t, h0s[i], -1)
 	}
 	r.unlockShards(mask)
-	if len(done) > 0 {
-		r.nkeys.Add(-int64(len(done)))
-	}
-	if m := r.met.Load(); m != nil && len(done) > 0 {
-		m.Removes.Add(h0s[0], int64(len(done)))
-	}
-	sc.h0s, sc.ents, sc.done, sc.recs = h0s, ents, done, recs
+	sc.ents, sc.done, sc.recs = ents, done, recs
+	return int64(len(done))
 }

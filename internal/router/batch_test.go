@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"geobalance/internal/geom"
 	"geobalance/internal/journal"
@@ -354,6 +355,173 @@ func TestBatchJournaledRecovery(t *testing.T) {
 	}
 	if err := g2.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPlaceBatchCommitsPerKey pins the unjournaled batch's per-key
+// locking: while the test holds the shard lock of the batch's LAST
+// key, the batch's first key (on another shard) must already become
+// visible. A batch that write-locks every touched shard before
+// committing inserts nothing until the test lets go. The first key's
+// shard sits above the last key's, so such a batch blocks on the held
+// shard before taking the first key's, and polling Locate cannot
+// deadlock against it.
+func TestPlaceBatchCommitsPerKey(t *testing.T) {
+	g := newTestGeo(t, 16, 2, 2, 41)
+	shard := func(key string) uint64 { return Hash('k', 0, key) & (keyShardCount - 1) }
+	find := func(prefix string, ok func(uint64) bool) string {
+		for i := 0; ; i++ {
+			if key := fmt.Sprintf("%s-%d", prefix, i); ok(shard(key)) {
+				return key
+			}
+		}
+	}
+	last := find("pk-last", func(s uint64) bool { return s < keyShardCount/2 })
+	first := find("pk-first", func(s uint64) bool { return s > shard(last) })
+	keys := []string{first}
+	for i := 0; len(keys) < 7; i++ {
+		if key := fmt.Sprintf("pk-mid-%d", i); shard(key) != shard(last) {
+			keys = append(keys, key)
+		}
+	}
+	keys = append(keys, last)
+
+	held := &g.keys[shard(last)].mu
+	held.Lock()
+	out := make([]BatchResult, len(keys))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.PlaceBatch(keys, out)
+	}()
+	visible := false
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if _, err := g.Locate(first); err == nil {
+			visible = true
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	held.Unlock()
+	<-done
+	if !visible {
+		t.Fatalf("first key %q stayed unplaced while only the last key's shard was held: the batch commits under a multi-shard hold", first)
+	}
+	for i := range out {
+		if out[i].Err != nil {
+			t.Fatalf("key %q: %v", keys[i], out[i].Err)
+		}
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBatchJournalAttachedMidBatch races unjournaled PlaceBatch and
+// RemoveBatch workers against a StartJournal. Keys a batch commits
+// before the journal appears must land in its captured state, and keys
+// it commits after must be journaled, so recovery brings back every
+// acked placement on its acked primary and no acked removal. Each
+// round attaches a fresh journal to the running router and detaches it
+// after the check, so one run lands several attaches mid-batch.
+func TestBatchJournalAttachedMidBatch(t *testing.T) {
+	g := newTestGeo(t, 16, 3, 2, 53)
+	const rounds, workers, per = 6, 4, 32
+	live := make([]map[string]string, workers) // key -> acked primary
+	removed := make([][]string, workers)
+	order := make([][]string, workers) // placed keys, oldest first
+	for w := range live {
+		live[w] = make(map[string]string)
+	}
+	for round := 0; round < rounds; round++ {
+		var batches atomic.Int64
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		errc := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				keys := make([]string, per)
+				out := make([]BatchResult, per)
+				for b := 0; !stop.Load(); b++ {
+					for i := range keys {
+						keys[i] = fmt.Sprintf("jm-r%d-w%d-b%d-k%d", round, w, b, i)
+					}
+					g.PlaceBatch(keys, out)
+					for i := range out {
+						if out[i].Err != nil {
+							errc <- out[i].Err
+							return
+						}
+						live[w][keys[i]] = out[i].Server
+					}
+					order[w] = append(order[w], keys...)
+					rm := order[w][:per]
+					g.RemoveBatch(rm, out)
+					for i, key := range rm {
+						if out[i].Err != nil || out[i].Server != live[w][key] {
+							errc <- fmt.Errorf("remove %q: got %s, %v; placed on %s", key, out[i].Server, out[i].Err, live[w][key])
+							return
+						}
+						delete(live[w], key)
+					}
+					removed[w] = append(removed[w], rm...)
+					order[w] = order[w][per:]
+					batches.Add(1)
+				}
+			}(w)
+		}
+		waitBatches := func(n int64) {
+			for batches.Load() < n && len(errc) == 0 {
+				runtime.Gosched()
+			}
+		}
+		waitBatches(4 * workers)
+		dir := t.TempDir()
+		lg, err := g.StartJournal(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitBatches(batches.Load() + 4*workers)
+		stop.Store(true)
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatal(err)
+		}
+		g.SetJournal(nil)
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		g2, _, err := RecoverGeo(dir, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		for w := range live {
+			want += len(live[w])
+			for key, srv := range live[w] {
+				if got, err := g2.Locate(key); err != nil || got != srv {
+					t.Fatalf("round %d: acked key %q recovered on %q (%v), acked on %s", round, key, got, err, srv)
+				}
+			}
+			for _, key := range removed[w] {
+				if srv, err := g2.Locate(key); err == nil {
+					t.Fatalf("round %d: removed key %q came back on %s", round, key, srv)
+				}
+			}
+		}
+		if g2.NumKeys() != want {
+			t.Fatalf("round %d: recovered NumKeys = %d, want %d", round, g2.NumKeys(), want)
+		}
+		if err := g2.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.Journal().Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

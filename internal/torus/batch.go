@@ -9,7 +9,8 @@
 //     the CSR structure stores sites in), so the block walks the index
 //     front to back — consecutive queries hit the same or adjacent
 //     rows and one query's scan warms the next one's — instead of
-//     striding across it at random.
+//     striding across it at random. Blocks far smaller than the
+//     bucket array keep their input order (see sortByCell).
 //   - The overlapped 3-row index (dim 2). A second copy of the
 //     cell-ordered sites stores, for each grid group (r, c), the sites
 //     of rows r-1..r+1 at column c contiguously. A query's whole fused
@@ -119,30 +120,45 @@ func (s *Space) NearestBatchInto(sc *BatchScratch, pts []float64, out []int32) {
 	atomic.AddUint64(&s.cellsScanned, visits)
 }
 
+// sortBuckets returns sortByCell's key shift and bucket count: the
+// flat cell index shifted right until at most batchSortBuckets buckets
+// remain.
+func (s *Space) sortBuckets() (shift, nb int) {
+	nc := pow(s.g, s.dim)
+	for nc>>shift > batchSortBuckets {
+		shift++
+	}
+	return shift, (nc-1)>>shift + 1
+}
+
 // sortByCell fills sc.ord with the query indices ordered by home grid
 // cell (ties by query index — the sort is stable) and returns it. The
 // key is the flat cell index truncated to at most batchSortBuckets
 // buckets, so sorting costs two passes over the queries plus one over
-// the bucket array regardless of grid size.
+// the bucket array regardless of grid size. A block much smaller than
+// the bucket array (q*16 < nb) gets the identity order instead: it has
+// little locality to gain, and clearing and prefix-summing the buckets
+// would dominate its cost. The order is unobservable in the results.
 func (s *Space) sortByCell(sc *BatchScratch, pts []float64, q int) []int32 {
 	dim := s.dim
 	g := s.g
 	gf := float64(g)
-	nc := pow(g, dim)
-	shift := 0
-	for nc>>shift > batchSortBuckets {
-		shift++
-	}
-	nb := (nc-1)>>shift + 1
+	shift, nb := s.sortBuckets()
 	if cap(sc.key) < q {
 		sc.key = make([]int32, q)
 		sc.ord = make([]int32, q)
+	}
+	ord := sc.ord[:q]
+	if q*16 < nb {
+		for i := range ord {
+			ord[i] = int32(i)
+		}
+		return ord
 	}
 	if cap(sc.cnt) < nb+1 {
 		sc.cnt = make([]int32, nb+1)
 	}
 	key := sc.key[:q]
-	ord := sc.ord[:q]
 	cnt := sc.cnt[:nb+1]
 	for i := range cnt {
 		cnt[i] = 0

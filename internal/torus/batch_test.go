@@ -205,6 +205,46 @@ func TestNearestBatchTinyGrids(t *testing.T) {
 	}
 }
 
+// TestNearestBatchSortThreshold pins both sides of sortByCell's
+// small-block cutoff: a block just below it (q*16 < nb, identity
+// order) and one at it (counting sort) must both answer exactly like
+// Nearest, at the dimensions with staged kernels. The bucket array's
+// allocation shows which side each call took.
+func TestNearestBatchSortThreshold(t *testing.T) {
+	for _, dim := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
+			r := rng.New(uint64(251 + dim))
+			sp, err := NewRandom(1<<11, dim, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, nb := sp.sortBuckets()
+			below := (nb - 1) / 16 // largest q with q*16 < nb
+			if below < 1 {
+				t.Fatalf("bucket count %d leaves no block below the cutoff", nb)
+			}
+			for _, q := range []int{below, below + 1} {
+				pts := make([]float64, q*dim)
+				for i := range pts {
+					pts[i] = r.Float64()
+				}
+				var sc BatchScratch
+				out := make([]int32, q)
+				sp.NearestBatchInto(&sc, pts, out)
+				if sorted := sc.cnt != nil; sorted != (q*16 >= nb) {
+					t.Fatalf("q=%d nb=%d: counting sort ran = %v", q, nb, sorted)
+				}
+				for i := 0; i < q; i++ {
+					want, _ := sp.Nearest(geom.Vec(pts[i*dim : (i+1)*dim]))
+					if int(out[i]) != want {
+						t.Fatalf("q=%d query %d: NearestBatchInto %d, Nearest %d", q, i, out[i], want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestNearestBatchAfterReseed checks that Reseed invalidates and
 // rebuilds everything the batch kernel reads (the overlapped index
 // included): a reseeded space must answer exactly like a freshly built

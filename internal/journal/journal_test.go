@@ -325,7 +325,7 @@ func TestMetricsCounters(t *testing.T) {
 		t.Errorf("journal_recoveries_total = %d, want 1", got)
 	}
 	if got := m.TruncatedBytes.Value(); got == 0 {
-		t.Error("journal_truncated_bytes = 0 after a torn tail")
+		t.Error("journal_truncated_bytes_total = 0 after a torn tail")
 	}
 }
 

@@ -21,6 +21,6 @@ func NewMetrics(reg *metrics.Registry) *Metrics {
 		Appends:        reg.Counter("journal_appends_total", "mutation records appended to the WAL"),
 		Fsyncs:         reg.Counter("journal_fsyncs_total", "WAL fsyncs (one per group-commit batch)"),
 		Recoveries:     reg.Counter("journal_recoveries_total", "journal recoveries performed by Open"),
-		TruncatedBytes: reg.Counter("journal_truncated_bytes", "WAL bytes discarded as torn tails or compacted prefixes"),
+		TruncatedBytes: reg.Counter("journal_truncated_bytes_total", "WAL bytes discarded as torn tails or compacted prefixes"),
 	}
 }

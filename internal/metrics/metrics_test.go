@@ -188,7 +188,7 @@ func goldenRegistry() *Registry {
 	fs.Add(0, 96)
 	rec := reg.Counter("journal_recoveries_total", "journal recoveries performed by Open")
 	rec.Add(0, 1)
-	tb := reg.Counter("journal_truncated_bytes", "WAL bytes discarded as torn tails or compacted prefixes")
+	tb := reg.Counter("journal_truncated_bytes_total", "WAL bytes discarded as torn tails or compacted prefixes")
 	tb.Add(0, 17)
 	return reg
 }

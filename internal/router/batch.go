@@ -8,13 +8,13 @@
 // journal fsync.
 //
 // Semantics are exactly the scalar paths': each key's block-resolved
-// candidates go through the same decide routine as a scalar Place
-// (choice.go), so selection, replication, draining and bounded-load
-// admission cannot differ, and the write-ahead journaling rules are
-// the same (pinned by the batch-vs-sequential equality tests in
-// batch_test.go). Keys are processed in input order with load counters
-// updated between keys, so a batch observes the same load evolution a
-// sequential loop over the scalar calls would.
+// candidates go through the same admission step as a scalar Place
+// (admit, then decide in choice.go), so selection, replication,
+// draining and bounded-load admission cannot differ, and every record
+// commits through the same setRec (pinned by the batch-vs-sequential
+// equality tests in batch_test.go). Keys are processed in input order
+// with load counters updated between keys, so a batch observes the
+// same load evolution a sequential loop over the scalar calls would.
 //
 // Locking: with no journal attached, a batch commits each key under
 // that key's shard lock alone, exactly the scalar Place/Remove
@@ -25,9 +25,10 @@
 // every shard, so a key that sees none is in the journal's captured
 // state, and once one appears the rest of the batch takes the
 // journaled path. With a journal attached, the batch write-locks every
-// involved shard in ascending order and holds them across the one
-// AppendBatch, so no placement in the batch becomes visible before its
-// record is durable. All multi-shard paths (StartJournal,
+// involved shard in ascending order, collects one recEntry per key and
+// holds the shards across the one AppendBatch, so no placement in the
+// batch becomes visible before its record is durable; a failed append
+// undoes the batch. All multi-shard paths (StartJournal,
 // CheckInvariants, and the journaled batches) acquire shards in
 // ascending order and single-key paths hold at most one shard, so the
 // batch path introduces no lock-order cycle.
@@ -144,6 +145,10 @@ func shardMask(h0s []uint64) uint64 {
 	}
 	return mask
 }
+
+// allShards is the shard mask of the stop-the-world paths
+// (StartJournal, CompactJournal).
+const allShards = ^uint64(0)
 
 // lockShards write-locks every shard in mask in ascending order.
 func (r *Router) lockShards(mask uint64) {
@@ -274,35 +279,29 @@ func (p *placeRun) sync(i int) {
 	}
 }
 
-// place decides key i against p.t and commits it: charge the loads and
-// store the record, so later keys (and the bounded-load mean) see it
-// exactly as a sequential scalar loop would. The caller holds the
-// key's shard lock ks. Failures land in out[i].
+// place admits key i against p.t from its block-resolved candidates
+// and commits it through setRec, so later keys (and the bounded-load
+// mean) see it exactly as a sequential scalar loop would. The caller
+// holds the key's shard lock ks and does any journaling. Failures
+// land in out[i].
 func (p *placeRun) place(ks *keyShard, i int) (keyRec, bool) {
 	t, key := p.t, p.keys[i]
-	if t.Live == 0 {
-		p.out[i] = BatchResult{Err: fmt.Errorf("%s: no servers", p.r.name)}
-		return keyRec{}, false
+	if t.Live > 0 { // an empty snapshot has no candidates; admit refuses
+		cand := p.sc.cand[(i-p.base)*t.D:]
+		for j := range p.ws {
+			p.ws[j].slot = cand[j]
+		}
 	}
-	if _, dup := ks.m[key]; dup {
-		p.out[i] = BatchResult{Err: fmt.Errorf("%s: key %q already placed", p.r.name, key)}
-		return keyRec{}, false
-	}
-	cand := p.sc.cand[(i-p.base)*t.D:]
-	for j := range p.ws {
-		p.ws[j].slot = cand[j]
-	}
-	rec, skipped, overshoot, ok := t.decide(p.ws, nil, t.Bound > 0)
+	rec, skipped, err := p.r.admit(ks, t, key, p.h0s[i], p.ws)
 	p.forwards += int64(skipped)
-	if !ok {
-		p.rejects++
-		p.out[i] = BatchResult{Err: &OverloadedError{
-			Router: p.r.name, Key: key, RetryAfter: retryAfter(overshoot),
-		}}
+	if err != nil {
+		if _, over := err.(*OverloadedError); over {
+			p.rejects++
+		}
+		p.out[i] = BatchResult{Err: err}
 		return keyRec{}, false
 	}
-	rec.addLoads(t, p.h0s[i], 1)
-	ks.m[key] = rec
+	ks.setRec(t, key, p.h0s[i], keyRec{}, rec)
 	p.placed++
 	p.out[i] = BatchResult{Server: t.Names[rec.slots[0]], N: int(rec.n)}
 	return rec, true
@@ -342,7 +341,7 @@ func (p *placeRun) placeHeld(from int) {
 	ents, done := sc.ents[:0], sc.done[:0]
 	for i := from; i < len(p.keys); i++ {
 		if rec, ok := p.place(r.keyShardFor(p.h0s[i]), i); ok && lg != nil {
-			ents = append(ents, journal.Entry{Op: journal.OpPlace, Name: p.keys[i], Rec: recToJournal(rec)})
+			ents = append(ents, recEntry(p.keys[i], keyRec{}, rec))
 			done = append(done, int32(i))
 		}
 	}
@@ -351,9 +350,7 @@ func (p *placeRun) placeHeld(from int) {
 			jerr := fmt.Errorf("%s: journal: %w", r.name, err)
 			for _, i := range done {
 				ks := r.keyShardFor(p.h0s[i])
-				rec := ks.m[p.keys[i]]
-				rec.addLoads(p.t, p.h0s[i], -1)
-				delete(ks.m, p.keys[i])
+				ks.setRec(p.t, p.keys[i], p.h0s[i], ks.m[p.keys[i]], keyRec{})
 				p.out[i] = BatchResult{Err: jerr}
 			}
 			p.placed -= int64(len(done))
@@ -386,8 +383,8 @@ func (sc *batchScratch) groupByShard(h0s []uint64) []int32 {
 	return sc.ord
 }
 
-// LocateBatch looks up a block of placed keys with one snapshot load
-// and one read-lock hold per involved key shard. out[i] receives key
+// LocateBatch looks up a block of placed keys with one read-lock hold
+// (and snapshot load) per involved key shard. out[i] receives key
 // i's recorded primary (dead or not — the scalar Locate contract) or
 // a not-placed error; len(out) must equal len(keys).
 func (r *Router) LocateBatch(keys []string, out []BatchResult) {
@@ -401,7 +398,6 @@ func (r *Router) LocateBatch(keys []string, out []BatchResult) {
 	defer r.putBatchScratch(sc)
 	h0s := sc.hashKeys(keys)
 	ord := sc.groupByShard(h0s)
-	t := r.snap.Load()
 	var served int64
 	for a := 0; a < len(ord); {
 		shard := h0s[ord[a]] & (keyShardCount - 1)
@@ -411,6 +407,10 @@ func (r *Router) LocateBatch(keys []string, out []BatchResult) {
 		}
 		ks := &r.keys[shard]
 		ks.mu.RLock()
+		// Loaded under the lock, so it is at least as new as the
+		// snapshot of any record read here (a record re-homed onto a
+		// just-added server names a slot older snapshots lack).
+		t := r.snap.Load()
 		for _, i := range ord[a:b] {
 			rec, ok := ks.m[keys[i]]
 			if !ok {
@@ -462,9 +462,8 @@ func (r *Router) RemoveBatch(keys []string, out []BatchResult) {
 			out[i] = BatchResult{Err: fmt.Errorf("%s: key %q not placed", r.name, keys[i])}
 			continue
 		}
-		delete(ks.m, keys[i])
 		t := r.snap.Load()
-		rec.addLoads(t, h0s[i], -1)
+		ks.setRec(t, keys[i], h0s[i], rec, keyRec{})
 		ks.mu.Unlock()
 		out[i] = BatchResult{Server: t.Names[rec.slots[0]], N: int(rec.n)}
 		removed++
@@ -498,8 +497,12 @@ func (r *Router) removeHeld(sc *batchScratch, keys []string, h0s []uint64, out [
 			continue
 		}
 		if lg != nil {
-			ents = append(ents, journal.Entry{Op: journal.OpRemoveKey, Name: key})
+			ents = append(ents, recEntry(key, rec, keyRec{}))
 		}
+		// Hide the record until the append settles, so a repeat of the
+		// key later in this batch fails as not placed, while its load
+		// stays charged: bounded-load admission must never see a
+		// transiently lower load. The setRec below uncharges it.
 		delete(ks.m, key)
 		done = append(done, int32(i))
 		recs = append(recs, rec)
@@ -509,8 +512,8 @@ func (r *Router) removeHeld(sc *batchScratch, keys []string, h0s []uint64, out [
 		if err := lg.AppendBatch(ents); err != nil {
 			jerr := fmt.Errorf("%s: journal: %w", r.name, err)
 			for k, i := range done {
-				ks := r.keyShardFor(h0s[i])
-				ks.m[keys[i]] = recs[k]
+				// Reinstate the hidden record: the removal never happened.
+				r.keyShardFor(h0s[i]).m[keys[i]] = recs[k]
 				out[i] = BatchResult{Err: jerr}
 			}
 			done = done[:0]
@@ -519,7 +522,7 @@ func (r *Router) removeHeld(sc *batchScratch, keys []string, h0s []uint64, out [
 	// Load counters come off only once the removals are journaled (the
 	// scalar Remove's journal-then-uncharge order, batch-wide).
 	for k, i := range done {
-		recs[k].addLoads(t, h0s[i], -1)
+		r.keyShardFor(h0s[i]).setRec(t, keys[i], h0s[i], recs[k], keyRec{})
 	}
 	r.unlockShards(mask)
 	sc.ents, sc.done, sc.recs = ents, done, recs

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,29 +206,72 @@ func TestBatchScalarResolveFallback(t *testing.T) {
 	}
 }
 
-// TestBatchIntraBatchDuplicate: the same key twice in ONE batch places
-// once and rejects the second occurrence, exactly like two sequential
-// scalar calls.
+// TestBatchIntraBatchDuplicate: the same key twice in ONE batch is
+// handled once, exactly like two sequential scalar calls — PlaceBatch
+// places it and rejects the repeat, RemoveBatch removes it and reports
+// the repeat not placed — with the journal off (per-key commit) and on
+// (held shards, one group commit), and the journaled state recovers.
 func TestBatchIntraBatchDuplicate(t *testing.T) {
-	g := newTestGeo(t, 8, 2, 2, 9)
-	keys := []string{"dup", "other", "dup"}
-	out := make([]BatchResult, len(keys))
-	g.PlaceBatch(keys, out)
-	if out[0].Err != nil || out[1].Err != nil {
-		t.Fatalf("fresh keys failed: %v / %v", out[0].Err, out[1].Err)
-	}
-	if out[2].Err == nil {
-		t.Fatal("second occurrence of a key in the same batch placed twice")
-	}
-	if g.NumKeys() != 2 {
-		t.Fatalf("NumKeys = %d, want 2", g.NumKeys())
-	}
-	var total int64
-	for _, l := range g.Loads() {
-		total += l
-	}
-	if total != 2 {
-		t.Fatalf("loads sum to %d, want 2", total)
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journal=%v", journaled), func(t *testing.T) {
+			g := newTestGeo(t, 8, 2, 2, 9)
+			dir := t.TempDir()
+			if journaled {
+				if _, err := g.StartJournal(dir, journal.Options{NoSync: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check := func(op string, keys []string, out []BatchResult, wantKeys int) {
+				t.Helper()
+				for i := range keys[:len(keys)-1] {
+					if out[i].Err != nil {
+						t.Fatalf("%s %q failed: %v", op, keys[i], out[i].Err)
+					}
+				}
+				if out[len(keys)-1].Err == nil {
+					t.Fatalf("%s: second occurrence of %q in the same batch succeeded", op, keys[0])
+				}
+				if g.NumKeys() != wantKeys {
+					t.Fatalf("%s: NumKeys = %d, want %d", op, g.NumKeys(), wantKeys)
+				}
+				var total int64
+				for _, l := range g.Loads() {
+					total += l
+				}
+				if total != int64(wantKeys) {
+					t.Fatalf("%s: loads sum to %d, want %d", op, total, wantKeys)
+				}
+			}
+			place := []string{"dup", "other", "keep", "dup"}
+			out := make([]BatchResult, len(place))
+			g.PlaceBatch(place, out)
+			check("PlaceBatch", place, out, 3)
+			remove := []string{"dup", "other", "dup"}
+			g.RemoveBatch(remove, out[:len(remove)])
+			check("RemoveBatch", remove, out[:len(remove)], 1)
+			if err := g.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if !journaled {
+				return
+			}
+			g.Journal().Close()
+			g2, _, err := RecoverGeo(dir, journal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g2.Journal().Close()
+			if g2.NumKeys() != 1 || !reflect.DeepEqual(g2.Loads(), g.Loads()) {
+				t.Fatalf("recovered %d keys, loads %v; want 1 key, loads %v", g2.NumKeys(), g2.Loads(), g.Loads())
+			}
+			want, _ := g.Locate("keep")
+			if got, err := g2.Locate("keep"); err != nil || got != want {
+				t.Fatalf("recovered Locate(keep) = %q, %v; want %q", got, err, want)
+			}
+			if err := g2.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -523,6 +567,59 @@ func TestBatchJournalAttachedMidBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestLocateBatchSnapshotUnderLock pins where LocateBatch loads the
+// snapshot: under the key's shard lock. While the test holds that lock,
+// a server joins and the key's record moves onto the new slot; a batch
+// that loaded its snapshot before the lock indexes the new slot into
+// the older, shorter slot table and panics.
+func TestLocateBatchSnapshotUnderLock(t *testing.T) {
+	g := newTestGeo(t, 8, 2, 2, 5)
+	if _, err := g.Place("moved"); err != nil {
+		t.Fatal(err)
+	}
+	h0 := Hash('k', 0, "moved")
+	ks := g.keyShardFor(h0)
+	ks.mu.Lock()
+	out := make([]BatchResult, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		g.LocateBatch([]string{"moved"}, out)
+	}()
+	waitBlockedIn(t, "(*Router).LocateBatch", "SemacquireRWMutexR")
+	if err := g.AddServer("joiner", geom.Vec{0.5, 0.5}); err != nil {
+		ks.mu.Unlock()
+		t.Fatal(err)
+	}
+	nt := g.Snapshot()
+	slot, _ := nt.Slot("joiner")
+	old := ks.m["moved"]
+	rec := old
+	rec.slots[0] = slot
+	ks.setRec(nt, "moved", h0, old, rec)
+	ks.mu.Unlock()
+	<-done
+	if out[0].Err != nil || out[0].Server != "joiner" {
+		t.Fatalf("LocateBatch = %+v, want the record's new primary joiner", out[0])
+	}
+}
+
+// waitBlockedIn waits until some goroutine's stack shows fn blocked
+// in wait, e.g. a batch parked on a shard lock the test holds.
+func waitBlockedIn(t *testing.T, fn, wait string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, fn) && strings.Contains(g, wait) {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+	t.Fatalf("no goroutine blocked in %s under %s", wait, fn)
 }
 
 // TestGeoBatchRacingChurnRebalance is TestGeoRebalanceRacingTraffic's

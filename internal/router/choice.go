@@ -7,7 +7,7 @@
 // at once instead, through the topology's block kernel). decide then
 // picks the record from those resolved slots. Scalar and batch
 // placement, Rebalance, Repair and the migration planner all go
-// through decide, and record validation (recValid, checkRec) applies
+// through decide, and record validation (checkRec) applies
 // the same replica-count rule through distinct, so the paths cannot
 // drift apart.
 package router

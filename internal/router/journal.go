@@ -7,22 +7,28 @@
 // With a journal attached, every mutation appends its record BEFORE it
 // becomes visible: membership changes append inside the writer mutex
 // just before the snapshot publishes, and key-record changes append
-// under the key-shard lock just before the record stores. The journal
-// therefore totally orders the mutations it sees per key and orders
-// every membership change before any placement made against it —
-// exactly the ordering replay needs. Place and Remove are
-// write-ahead in the strict sense (a failed append fails the
-// operation); Rebalance, Repair, and migration append without waiting
-// for the fsync, because losing a tail update record is benign: the
-// recovered router holds the key's previous record and the standard
-// post-recovery Repair/Rebalance pass re-homes it, with no key lost.
+// under the key-shard lock just before setRec commits them. The
+// journal therefore totally orders the mutations it sees per key and
+// orders every membership change before any placement made against it
+// — exactly the ordering replay needs.
 //
-// Replay installs recorded outcomes verbatim (restorePlace et al.)
-// rather than re-running the d-choice rule, whose outcome depends on
-// load counters and racing traffic. Slot indices are stable under
-// total-order replay — slots are append-only and never reused for new
-// names — so a recorded slot means the same server at replay time as
-// it did at append time.
+// A key-record change's entry is always recEntry(key, old, rec), and
+// each journaling discipline around the setRec commit exists once:
+// scalar Place and Remove append write-ahead in the strict sense (a
+// failed append fails the operation; commit in router.go); Rebalance,
+// Repair and migration apply share move (migrate.go), which appends
+// without waiting for the fsync, because losing a tail update record
+// is benign — the recovered router holds the key's previous record and
+// the standard post-recovery Repair/Rebalance pass re-homes it; a
+// journaled batch collects its entries for one AppendBatch (batch.go);
+// and replay appends nothing.
+//
+// Replay installs recorded outcomes verbatim through the same setRec
+// (restore) rather than re-running the d-choice rule, whose outcome
+// depends on load counters and racing traffic. Slot indices are stable
+// under total-order replay — slots are append-only and never reused for
+// new names — so a recorded slot means the same server at replay time
+// as it did at append time.
 package router
 
 import (
@@ -56,14 +62,8 @@ func (r *Router) Journal() *journal.Log { return r.jl.Load() }
 func (r *Router) StartJournal(dir string, hdr journal.Header, coords CoordsFunc, opts journal.Options) (*journal.Log, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := range r.keys {
-		r.keys[i].mu.Lock()
-	}
-	defer func() {
-		for i := range r.keys {
-			r.keys[i].mu.Unlock()
-		}
-	}()
+	r.lockShards(allShards)
+	defer r.unlockShards(allShards)
 	lg, err := journal.Create(dir, hdr, r.captureStateLocked(coords), opts)
 	if err != nil {
 		return nil, err
@@ -82,14 +82,8 @@ func (r *Router) CompactJournal(coords CoordsFunc) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := range r.keys {
-		r.keys[i].mu.Lock()
-	}
-	defer func() {
-		for i := range r.keys {
-			r.keys[i].mu.Unlock()
-		}
-	}()
+	r.lockShards(allShards)
+	defer r.unlockShards(allShards)
 	return lg.Compact(r.captureStateLocked(coords))
 }
 
@@ -140,6 +134,18 @@ func (r *Router) captureStateLocked(coords CoordsFunc) []journal.Entry {
 	return state
 }
 
+// recEntry is the journal record of the setRec change from old to rec
+// (n == 0 meaning absent): a placement, a removal, or a replacement.
+func recEntry(key string, old, rec keyRec) journal.Entry {
+	switch {
+	case old.n == 0:
+		return journal.Entry{Op: journal.OpPlace, Name: key, Rec: recToJournal(rec)}
+	case rec.n == 0:
+		return journal.Entry{Op: journal.OpRemoveKey, Name: key}
+	}
+	return journal.Entry{Op: journal.OpUpdateRec, Name: key, Rec: recToJournal(rec)}
+}
+
 func recToJournal(rec keyRec) journal.Rec {
 	jr := journal.Rec{N: int(rec.n)}
 	for i := 0; i < int(rec.n); i++ {
@@ -178,68 +184,30 @@ func (r *Router) recFromJournal(key string, jr journal.Rec) (keyRec, error) {
 	return rec, nil
 }
 
-// restorePlace replays a journaled placement: the recorded replica set
-// is installed verbatim (no d-choice re-run) and charged to the load
-// counters. Replaying a key that already exists is corruption — a
-// correct log removes before it re-places.
-func (r *Router) restorePlace(key string, jr journal.Rec) error {
-	rec, err := r.recFromJournal(key, jr)
-	if err != nil {
-		return err
+// restore replays one journaled key-record op through setRec,
+// installing the recorded record verbatim (no d-choice re-run): a
+// placement charges it, an update (rebalance, repair or migration
+// delta) swaps it in, a removal drops it. Placing a present key, or
+// updating or removing an absent one, is corruption — a correct log
+// removes before it re-places.
+func (r *Router) restore(e *journal.Entry) error {
+	var rec keyRec
+	if e.Op != journal.OpRemoveKey {
+		var err error
+		if rec, err = r.recFromJournal(e.Name, e.Rec); err != nil {
+			return err
+		}
 	}
-	h0 := Hash('k', 0, key)
+	h0 := Hash('k', 0, e.Name)
 	ks := r.keyShardFor(h0)
 	ks.mu.Lock()
-	if _, dup := ks.m[key]; dup {
-		ks.mu.Unlock()
-		return &journal.CorruptError{Reason: fmt.Sprintf("key %q placed twice", key)}
+	defer ks.mu.Unlock()
+	old := ks.m[e.Name]
+	if present := old.n != 0; present == (e.Op == journal.OpPlace) {
+		return &journal.CorruptError{Reason: fmt.Sprintf("%v of key %q (placed: %v)", e.Op, e.Name, present)}
 	}
-	t := r.snap.Load()
-	rec.addLoads(t, h0, 1)
-	ks.m[key] = rec
-	ks.mu.Unlock()
-	r.nkeys.Add(1)
-	return nil
-}
-
-// restoreUpdate replays a journaled record replacement (rebalance,
-// repair, or migration delta). The key must exist.
-func (r *Router) restoreUpdate(key string, jr journal.Rec) error {
-	rec, err := r.recFromJournal(key, jr)
-	if err != nil {
-		return err
-	}
-	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.Lock()
-	old, ok := ks.m[key]
-	if !ok {
-		ks.mu.Unlock()
-		return &journal.CorruptError{Reason: fmt.Sprintf("update of unplaced key %q", key)}
-	}
-	t := r.snap.Load()
-	old.addLoads(t, h0, -1)
-	rec.addLoads(t, h0, 1)
-	ks.m[key] = rec
-	ks.mu.Unlock()
-	return nil
-}
-
-// restoreRemove replays a journaled key removal. The key must exist.
-func (r *Router) restoreRemove(key string) error {
-	h0 := Hash('k', 0, key)
-	ks := r.keyShardFor(h0)
-	ks.mu.Lock()
-	rec, ok := ks.m[key]
-	if !ok {
-		ks.mu.Unlock()
-		return &journal.CorruptError{Reason: fmt.Sprintf("removal of unplaced key %q", key)}
-	}
-	delete(ks.m, key)
-	t := r.snap.Load()
-	rec.addLoads(t, h0, -1)
-	ks.mu.Unlock()
-	r.nkeys.Add(-1)
+	ks.setRec(r.snap.Load(), e.Name, h0, old, rec)
+	r.nkeys.Add(int64(min(rec.n, 1) - min(old.n, 1))) // +1 place, -1 removal
 	return nil
 }
 
@@ -379,12 +347,8 @@ func (r *Router) replayEntry(e *journal.Entry, join func(e *journal.Entry) error
 		return r.SetReplication(e.Count)
 	case journal.OpSetBoundedLoad:
 		return r.SetBoundedLoad(e.Value)
-	case journal.OpPlace:
-		return r.restorePlace(e.Name, e.Rec)
-	case journal.OpUpdateRec:
-		return r.restoreUpdate(e.Name, e.Rec)
-	case journal.OpRemoveKey:
-		return r.restoreRemove(e.Name)
+	case journal.OpPlace, journal.OpUpdateRec, journal.OpRemoveKey:
+		return r.restore(e)
 	}
 	return &journal.CorruptError{Reason: fmt.Sprintf("unknown op %d", e.Op)}
 }

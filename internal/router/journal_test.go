@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -275,5 +276,90 @@ func TestRecoverGeoRejectsRingJournal(t *testing.T) {
 	}
 	if _, _, err := RecoverGeo(dir, journal.Options{}); err == nil {
 		t.Fatal("expected kind mismatch error")
+	}
+}
+
+// TestJournalDeadRejectsEveryMutation extends the batch path's
+// dead-journal check to every other key-record writer: once the log is
+// closed, scalar writes fail with an error wrapping journal.ErrClosed,
+// and the background passes (Rebalance, Repair, migration apply) move
+// nothing, so no state change outruns its journal.
+func TestJournalDeadRejectsEveryMutation(t *testing.T) {
+	g := newTestGeo(t, 16, 2, 3, 61)
+	if err := g.SetReplication(2); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		if _, _, err := g.PlaceReplicated(fmt.Sprintf("dj-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lg, err := g.StartJournal(t.TempDir(), journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Strand keys: the new server captures part of the torus.
+	if err := g.AddServer("dc-new", geom.Vec{0.5, 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	p := g.PlanMigration(0)
+	if p.Len() == 0 {
+		t.Fatal("AddServer stranded no keys; strengthen the scenario")
+	}
+	wantLoads, wantKeys := fmt.Sprint(g.Loads()), g.NumKeys()
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := g.Place("dj-fresh"); !errors.Is(err, journal.ErrClosed) {
+		t.Fatalf("Place past a closed journal: %v, want ErrClosed", err)
+	}
+	if err := g.Remove("dj-0"); !errors.Is(err, journal.ErrClosed) {
+		t.Fatalf("Remove past a closed journal: %v, want ErrClosed", err)
+	}
+	if moved := g.Rebalance(); moved != 0 {
+		t.Fatalf("Rebalance moved %d keys past a closed journal", moved)
+	}
+	if repaired, lost := g.Repair(); repaired != 0 || lost != 0 {
+		t.Fatalf("Repair moved %d keys (%d lost) past a closed journal", repaired, lost)
+	}
+	if applied, skipped := p.ApplyAll(); applied != 0 || skipped != p.Len() {
+		t.Fatalf("ApplyAll past a closed journal: applied %d, skipped %d of %d", applied, skipped, p.Len())
+	}
+	if got := fmt.Sprint(g.Loads()); got != wantLoads {
+		t.Fatalf("loads changed past a closed journal:\nbefore %s\nafter  %s", wantLoads, got)
+	}
+	if g.NumKeys() != wantKeys {
+		t.Fatalf("NumKeys = %d past a closed journal, want %d", g.NumKeys(), wantKeys)
+	}
+}
+
+// TestReplayKeyOpCorruption pins restore's presence rule: replaying a
+// placement of a present key, or an update or removal of an absent
+// one, fails with an error wrapping journal.ErrCorrupt and leaves the
+// router's records and loads as they were.
+func TestReplayKeyOpCorruption(t *testing.T) {
+	g := newTestGeo(t, 8, 2, 2, 3)
+	if _, err := g.Place("here"); err != nil {
+		t.Fatal(err)
+	}
+	var rec journal.Rec
+	rec.N, rec.Slots[0] = 1, 0
+	for _, e := range []journal.Entry{
+		{Op: journal.OpPlace, Name: "here", Rec: rec},
+		{Op: journal.OpUpdateRec, Name: "absent", Rec: rec},
+		{Op: journal.OpRemoveKey, Name: "absent"},
+	} {
+		wantLoads := fmt.Sprint(g.Loads())
+		err := g.Replay([]journal.Entry{e}, nil, nil)
+		if !errors.Is(err, journal.ErrCorrupt) {
+			t.Fatalf("replaying %v of %q: %v, want ErrCorrupt", e.Op, e.Name, err)
+		}
+		if g.NumKeys() != 1 || fmt.Sprint(g.Loads()) != wantLoads {
+			t.Fatalf("rejected %v of %q changed state: %d keys, loads %v", e.Op, e.Name, g.NumKeys(), g.Loads())
+		}
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

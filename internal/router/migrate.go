@@ -1,16 +1,16 @@
 // Live key migration: membership changes planned as a write-log of
 // per-key move deltas, applied in small batches while traffic runs.
 //
-// Rebalance restores the placement invariant in one pass under the
-// writer mutex; fine in-process, but a deployment moving real bytes
-// wants the oasis-core MKVS pattern of the write log as the unit of
-// state transfer: a membership or rebalance change first EMITS the
-// deltas ("move key k: slot a -> slot b"), then the serving path
-// applies them incrementally. PlanMigration computes that write log
-// against one immutable snapshot (optionally bounded); ApplyBatch
-// commits a bounded number of deltas, re-validating each against the
-// live record under its shard lock, so Place/Locate/Remove traffic —
-// and even later membership changes — continue safely between batches.
+// A deployment moving real bytes wants the oasis-core MKVS pattern of
+// the write log as the unit of state transfer: a membership or
+// rebalance change first EMITS the deltas ("move key k: slot a ->
+// slot b"), then the serving path applies them incrementally.
+// PlanMigration computes that write log against one immutable snapshot
+// (optionally bounded); ApplyBatch commits a bounded number of deltas,
+// re-validating each against the live record under its shard lock, so
+// Place/Locate/Remove traffic — and even later membership changes —
+// continue safely between batches. Rebalance is this engine applied at
+// once: planLocked(0) then applyLocked(0) under one writer-mutex hold.
 //
 // Reads stay consistent throughout: a record is replaced atomically
 // under its key-shard lock, so until the delta for a key commits, the
@@ -20,12 +20,7 @@
 // layer.
 package router
 
-import (
-	"fmt"
-	"sort"
-
-	"geobalance/internal/journal"
-)
+import "fmt"
 
 // MoveDelta is one write-log entry of a MigrationPlan in exported
 // form: the key and its replica owner sets before and after the move.
@@ -77,32 +72,27 @@ type MigrationPlan struct {
 func (r *Router) PlanMigration(limit int) *MigrationPlan {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.planLocked(limit)
+}
+
+// planLocked is PlanMigration under r.mu, which the caller holds.
+func (r *Router) planLocked(limit int) *MigrationPlan {
 	t := r.snap.Load()
 	p := &MigrationPlan{r: r, snap: t}
 	if t.Live == 0 {
 		return p
 	}
-	names := make([]string, 0, r.nkeys.Load())
-	for i := range r.keys {
-		ks := &r.keys[i]
-		ks.mu.RLock()
-		for k := range ks.m {
-			names = append(names, k)
-		}
-		ks.mu.RUnlock()
-	}
-	sort.Strings(names)
 	loads := make([]int64, len(t.Names))
 	for i := range loads {
 		loads[i] = t.Loads[i].Total()
 	}
-	for _, key := range names {
+	for _, key := range r.sortedKeys() {
 		h0 := Hash('k', 0, key)
 		ks := r.keyShardFor(h0)
 		ks.mu.RLock()
 		rec, ok := ks.m[key]
 		ks.mu.RUnlock()
-		if !ok || t.recValid(key, h0, rec) {
+		if !ok || t.checkRec(key, h0, rec) == nil {
 			continue
 		}
 		if limit > 0 && len(p.ops) >= limit {
@@ -176,8 +166,19 @@ func (p *MigrationPlan) ApplyBatch(max int) (applied, skipped int) {
 	r := p.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	applied, skipped = p.applyLocked(max)
+	if m := r.met.Load(); m != nil {
+		m.MigrationApplied.Add(0, int64(applied))
+		m.MigrationSkipped.Add(0, int64(skipped))
+	}
+	return applied, skipped
+}
+
+// applyLocked is ApplyBatch under r.mu, which the caller holds, minus
+// the metrics: Rebalance counts its moves under its own name.
+func (p *MigrationPlan) applyLocked(max int) (applied, skipped int) {
+	r := p.r
 	t := r.snap.Load()
-	lg := r.jl.Load()
 	sameSnap := t == p.snap
 	for (max <= 0 || applied+skipped < max) && p.next < len(p.ops) {
 		op := p.ops[p.next]
@@ -185,33 +186,30 @@ func (p *MigrationPlan) ApplyBatch(max int) (applied, skipped int) {
 		h0 := Hash('k', 0, op.key)
 		ks := r.keyShardFor(h0)
 		ks.mu.Lock()
-		cur, ok := ks.m[op.key]
-		if !ok || cur != op.old || (!sameSnap && !t.recValid(op.key, h0, op.new)) {
-			ks.mu.Unlock()
+		// An absent key reads as the zero record, never a pre-image.
+		if ks.m[op.key] == op.old && (sameSnap || t.checkRec(op.key, h0, op.new) == nil) &&
+			r.move(ks, t, op.key, h0, op.old, op.new) {
+			applied++
+		} else {
 			skipped++
-			continue
 		}
-		if lg != nil {
-			// Async: a lost tail delta re-homes on the next pass.
-			if err := lg.AppendAsync(journal.Entry{Op: journal.OpUpdateRec, Name: op.key, Rec: recToJournal(op.new)}); err != nil {
-				ks.mu.Unlock()
-				skipped++
-				continue
-			}
-		}
-		op.old.addLoads(t, h0, -1)
-		op.new.addLoads(t, h0, 1)
-		ks.m[op.key] = op.new
 		ks.mu.Unlock()
-		applied++
 	}
 	p.applied += applied
 	p.skipped += skipped
-	if m := r.met.Load(); m != nil {
-		m.MigrationApplied.Add(0, int64(applied))
-		m.MigrationSkipped.Add(0, int64(skipped))
-	}
 	return applied, skipped
+}
+
+// move is the background passes' commit discipline (migration apply,
+// Rebalance, Repair): AppendAsync, since a lost tail update is benign
+// (the next pass re-homes the key), then setRec. A dead journal moves
+// nothing and reports false. The caller holds ks.mu.
+func (r *Router) move(ks *keyShard, t *Snapshot, key string, h0 uint64, old, rec keyRec) bool {
+	if lg := r.jl.Load(); lg != nil && lg.AppendAsync(recEntry(key, old, rec)) != nil {
+		return false
+	}
+	ks.setRec(t, key, h0, old, rec)
+	return true
 }
 
 // ApplyAll commits every remaining delta.

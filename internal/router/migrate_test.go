@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,6 +176,66 @@ func TestApplyBatchRevalidatesAfterMembershipChange(t *testing.T) {
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebalanceMatchesMigration pins Rebalance to the migration engine
+// applied at once: on twin routers stranded by the same membership
+// change, Rebalance() and PlanMigration(0).ApplyAll() must move the
+// same keys to the same records and leave the same loads.
+func TestRebalanceMatchesMigration(t *testing.T) {
+	for _, rep := range []int{1, 2} {
+		for _, drain := range []bool{false, true} {
+			t.Run(fmt.Sprintf("R=%d/drain=%v", rep, drain), func(t *testing.T) {
+				var twins [2]*Geo
+				for i := range twins {
+					g := newTestGeo(t, 24, 2, 3, 99)
+					if err := g.SetReplication(rep); err != nil {
+						t.Fatal(err)
+					}
+					for k := 0; k < 3000; k++ {
+						if _, _, err := g.PlaceReplicated(fmt.Sprintf("rm-%d", k)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, name := range g.Servers()[:3] {
+						if err := g.RemoveServer(name); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := g.AddServer("dc-new", geom.Vec{0.31, 0.64}); err != nil {
+						t.Fatal(err)
+					}
+					if drain {
+						if err := g.SetDraining(g.Servers()[5], true); err != nil {
+							t.Fatal(err)
+						}
+					}
+					twins[i] = g
+				}
+				reb, mig := twins[0], twins[1]
+				moved := reb.Rebalance()
+				applied, skipped := mig.PlanMigration(0).ApplyAll()
+				t.Logf("%d keys moved", moved)
+				if moved == 0 {
+					t.Fatal("membership change stranded no keys; strengthen the scenario")
+				}
+				if moved != applied || skipped != 0 {
+					t.Fatalf("Rebalance moved %d keys; migration applied %d, skipped %d", moved, applied, skipped)
+				}
+				for i := range reb.keys {
+					if !reflect.DeepEqual(reb.keys[i].m, mig.keys[i].m) {
+						t.Fatalf("key shard %d: records differ after Rebalance vs migration", i)
+					}
+				}
+				if !reflect.DeepEqual(reb.Loads(), mig.Loads()) {
+					t.Fatalf("loads differ:\nrebalance %v\nmigration %v", reb.Loads(), mig.Loads())
+				}
+				if err := reb.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"geobalance/internal/journal"
 )
@@ -160,47 +159,17 @@ func (r *Router) Owners(key string, dst []string) ([]string, error) {
 	return dst, nil
 }
 
-// recValid reports whether rec is a legal record for the key under
-// snapshot t: every replica on a distinct live slot, resolving there
-// at its recorded choice index, no replica on a draining slot while a
-// non-draining candidate exists, and the replica count at the
-// snapshot's target. A legal record need not be the least-loaded
-// choice — placement is sticky.
-func (t *Snapshot) recValid(key string, h0 uint64, rec keyRec) bool {
-	want, drainFiltered := t.target(key, h0)
-	if int(rec.n) != want {
-		return false
-	}
-	for i := 0; i < int(rec.n); i++ {
-		s := rec.slots[i]
-		if t.Dead[s] {
-			return false
-		}
-		if drainFiltered && t.Drain[s] {
-			return false
-		}
-		h := h0
-		if rec.salts[i] != 0 {
-			h = Hash('k', int(rec.salts[i]), key)
-		}
-		if t.Topo.Resolve(h) != s {
-			return false
-		}
-		for j := 0; j < i; j++ {
-			if rec.slots[j] == s {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// checkRec is recValid with diagnostics, for CheckInvariants.
-func (t *Snapshot) checkRec(key string, rec keyRec) error {
+// checkRec reports why rec is not a legal record for the key under
+// snapshot t, or nil when it is: every replica on a distinct live
+// slot, resolving there at its recorded choice index, no replica on a
+// draining slot while a non-draining candidate exists, and the replica
+// count at the snapshot's target. A legal record need not be the
+// least-loaded choice — placement is sticky. The background passes
+// test it against nil; CheckInvariants reports the diagnosis.
+func (t *Snapshot) checkRec(key string, h0 uint64, rec keyRec) error {
 	if rec.n < 1 || int(rec.n) > MaxReplicas {
 		return fmt.Errorf("key %q has replica count %d", key, rec.n)
 	}
-	h0 := Hash('k', 0, key)
 	for i := 0; i < int(rec.n); i++ {
 		s := rec.slots[i]
 		if int(s) >= len(t.Names) {
@@ -256,42 +225,20 @@ func (r *Router) Repair() (repaired, lost int) {
 	if t.Live == 0 {
 		return 0, 0
 	}
-	names := make([]string, 0, r.nkeys.Load())
-	for i := range r.keys {
-		ks := &r.keys[i]
-		ks.mu.RLock()
-		for k := range ks.m {
-			names = append(names, k)
-		}
-		ks.mu.RUnlock()
-	}
-	sort.Strings(names)
-	lg := r.jl.Load()
-	for _, key := range names {
+	for _, key := range r.sortedKeys() {
 		h0 := Hash('k', 0, key)
 		ks := r.keyShardFor(h0)
 		ks.mu.Lock()
-		rec, ok := ks.m[key]
-		if !ok || t.recValid(key, h0, rec) {
-			ks.mu.Unlock()
-			continue
-		}
-		nrec, allLost := t.repairRec(key, h0, rec)
-		if lg != nil {
-			// Async: a lost tail update re-homes on the next pass.
-			if err := lg.AppendAsync(journal.Entry{Op: journal.OpUpdateRec, Name: key, Rec: recToJournal(nrec)}); err != nil {
-				ks.mu.Unlock()
-				continue // journal dead: leave the record as journaled
+		if rec, ok := ks.m[key]; ok && t.checkRec(key, h0, rec) != nil {
+			nrec, allLost := t.repairRec(key, h0, rec)
+			if r.move(ks, t, key, h0, rec, nrec) {
+				repaired++
+				if allLost {
+					lost++
+				}
 			}
 		}
-		rec.addLoads(t, h0, -1)
-		nrec.addLoads(t, h0, 1)
-		ks.m[key] = nrec
 		ks.mu.Unlock()
-		repaired++
-		if allLost {
-			lost++
-		}
 	}
 	if m := r.met.Load(); m != nil {
 		m.RepairedKeys.Add(0, int64(repaired))

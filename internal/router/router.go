@@ -228,8 +228,12 @@ type keyRec struct {
 }
 
 // addLoads adjusts every replica's load counter (and the fleet-wide
-// total the bounded-load mean is computed from) by delta.
+// total the bounded-load mean is computed from) by delta. An absent
+// record (n == 0) carries no load.
 func (rec *keyRec) addLoads(t *Snapshot, h0 uint64, delta int64) {
+	if rec.n == 0 {
+		return
+	}
 	for i := 0; i < int(rec.n); i++ {
 		t.Loads[rec.slots[i]].Add(h0, delta)
 	}
@@ -243,6 +247,22 @@ type keyShard struct {
 	mu sync.RWMutex
 	m  map[string]keyRec
 	_  [32]byte
+}
+
+// setRec is the one key-record commit every writer goes through: it
+// replaces the key's record old (the one ks holds) with rec and moves
+// the load counters to match. A record with n == 0 means absent, so
+// the same step places (old absent), removes (rec absent) and re-homes.
+// The caller holds ks.mu, has journaled the change as its discipline
+// requires (recEntry), and keeps nkeys itself.
+func (ks *keyShard) setRec(t *Snapshot, key string, h0 uint64, old, rec keyRec) {
+	old.addLoads(t, h0, -1)
+	rec.addLoads(t, h0, 1)
+	if rec.n == 0 {
+		delete(ks.m, key)
+	} else {
+		ks.m[key] = rec
+	}
 }
 
 // Router is the generic concurrent d-choice serving core. Lookups
@@ -427,54 +447,88 @@ func (r *Router) keyShardFor(h0 uint64) *keyShard {
 	return &r.keys[h0&(keyShardCount-1)]
 }
 
-// place runs the shared placement path: decide the record (the top-R
-// distinct candidates, under admission when the bound is on), charge
-// the load counters, and store it. Returns the snapshot the choice was
-// made against and the stored record.
+// sortedKeys lists every placed key in sorted order: the sweep order
+// of the background passes (migration planning, hence Rebalance, and
+// Repair), so at quiescence their results are deterministic.
+func (r *Router) sortedKeys() []string {
+	names := make([]string, 0, r.nkeys.Load())
+	for i := range r.keys {
+		ks := &r.keys[i]
+		ks.mu.RLock()
+		for k := range ks.m {
+			names = append(names, k)
+		}
+		ks.mu.RUnlock()
+	}
+	sort.Strings(names)
+	return names
+}
+
+// admit is the placement admission Place and PlaceBatch share, under
+// the key's shard lock: refuse a key with no live server or an
+// existing record, else decide its record over the resolved candidates
+// ws (nil: resolve them here), rejecting with an OverloadedError when
+// bounded-load admission leaves too few. skipped counts forwards.
+func (r *Router) admit(ks *keyShard, t *Snapshot, key string, h0 uint64, ws []choice) (rec keyRec, skipped int, err error) {
+	if t.Live == 0 {
+		return rec, 0, fmt.Errorf("%s: no servers", r.name)
+	}
+	if _, dup := ks.m[key]; dup {
+		return rec, 0, fmt.Errorf("%s: key %q already placed", r.name, key)
+	}
+	var overshoot float64
+	var ok bool
+	if ws == nil {
+		rec, skipped, overshoot, ok = t.decideKey(key, h0, nil, t.Bound > 0)
+	} else {
+		rec, skipped, overshoot, ok = t.decide(ws, nil, t.Bound > 0)
+	}
+	if !ok {
+		err = &OverloadedError{Router: r.name, Key: key, RetryAfter: retryAfter(overshoot)}
+	}
+	return rec, skipped, err
+}
+
+// commit is the client-write discipline of scalar Place and Remove:
+// append write-ahead (a failed append fails the write with nothing
+// moved, so every acked write survives a crash), then setRec. The
+// caller holds ks.mu.
+func (r *Router) commit(ks *keyShard, t *Snapshot, key string, h0 uint64, old, rec keyRec) error {
+	if lg := r.jl.Load(); lg != nil {
+		if err := lg.Append(recEntry(key, old, rec)); err != nil {
+			return fmt.Errorf("%s: journal: %w", r.name, err)
+		}
+	}
+	ks.setRec(t, key, h0, old, rec)
+	return nil
+}
+
+// place runs the scalar placement path: admit, then commit. Returns
+// the snapshot the choice was made against and the stored record.
 func (r *Router) place(key string) (*Snapshot, keyRec, error) {
 	h0 := Hash('k', 0, key)
 	ks := r.keyShardFor(h0)
 	ks.mu.Lock()
 	t := r.snap.Load()
-	if t.Live == 0 {
-		ks.mu.Unlock()
-		return nil, keyRec{}, fmt.Errorf("%s: no servers", r.name)
+	rec, skipped, err := r.admit(ks, t, key, h0, nil)
+	if err == nil {
+		err = r.commit(ks, t, key, h0, keyRec{}, rec)
 	}
-	if _, dup := ks.m[key]; dup {
-		ks.mu.Unlock()
-		return nil, keyRec{}, fmt.Errorf("%s: key %q already placed", r.name, key)
-	}
-	rec, skipped, overshoot, ok := t.decideKey(key, h0, nil, t.Bound > 0)
-	if !ok {
-		ks.mu.Unlock()
-		if m := r.met.Load(); m != nil {
-			m.Rejects.Inc(h0)
-			if skipped > 0 {
-				m.Forwards.Add(h0, int64(skipped))
-			}
-		}
-		return nil, keyRec{}, &OverloadedError{
-			Router: r.name, Key: key, RetryAfter: retryAfter(overshoot),
-		}
-	}
-	if lg := r.jl.Load(); lg != nil {
-		// Write-ahead: the record must be durable before the placement
-		// becomes visible, so every acked placement survives a crash.
-		if err := lg.Append(journal.Entry{Op: journal.OpPlace, Name: key, Rec: recToJournal(rec)}); err != nil {
-			ks.mu.Unlock()
-			return nil, keyRec{}, fmt.Errorf("%s: journal: %w", r.name, err)
-		}
-	}
-	rec.addLoads(t, h0, 1)
-	ks.m[key] = rec
 	ks.mu.Unlock()
-	r.nkeys.Add(1)
 	if m := r.met.Load(); m != nil {
-		m.Places.Inc(h0)
 		if skipped > 0 {
 			m.Forwards.Add(h0, int64(skipped))
 		}
+		if err == nil {
+			m.Places.Inc(h0)
+		} else if _, over := err.(*OverloadedError); over {
+			m.Rejects.Inc(h0)
+		}
 	}
+	if err != nil {
+		return nil, keyRec{}, err
+	}
+	r.nkeys.Add(1)
 	return t, rec, nil
 }
 
@@ -528,16 +582,11 @@ func (r *Router) Remove(key string) error {
 		ks.mu.Unlock()
 		return fmt.Errorf("%s: key %q not placed", r.name, key)
 	}
-	if lg := r.jl.Load(); lg != nil {
-		if err := lg.Append(journal.Entry{Op: journal.OpRemoveKey, Name: key}); err != nil {
-			ks.mu.Unlock()
-			return fmt.Errorf("%s: journal: %w", r.name, err)
-		}
-	}
-	delete(ks.m, key)
-	t := r.snap.Load()
-	rec.addLoads(t, h0, -1)
+	err := r.commit(ks, r.snap.Load(), key, h0, rec, keyRec{})
 	ks.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	r.nkeys.Add(-1)
 	if m := r.met.Load(); m != nil {
 		m.Removes.Inc(h0)
@@ -552,7 +601,8 @@ func (r *Router) Remove(key string) error {
 // least-loaded current candidates. Returns the number of keys moved.
 // (Repair is the cheaper pass that replaces only lost replicas while
 // leaving healthy ones in place; Rebalance re-chooses the whole set.)
-// Keys are processed in sorted order, so at quiescence the result is
+// It is the migration engine applied at once — PlanMigration(0) and
+// ApplyAll under one hold of the writer mutex — so at quiescence it is
 // deterministic. Concurrent Place/Remove during a Rebalance are safe
 // but may leave freshly placed keys for the NEXT Rebalance to repair
 // (a placement racing a membership change can land on a stale
@@ -560,53 +610,7 @@ func (r *Router) Remove(key string) error {
 func (r *Router) Rebalance() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	t := r.snap.Load()
-	if t.Live == 0 {
-		return 0
-	}
-	names := make([]string, 0, r.nkeys.Load())
-	for i := range r.keys {
-		ks := &r.keys[i]
-		ks.mu.RLock()
-		for k := range ks.m {
-			names = append(names, k)
-		}
-		ks.mu.RUnlock()
-	}
-	sort.Strings(names)
-	lg := r.jl.Load()
-	moved := 0
-	for _, key := range names {
-		h0 := Hash('k', 0, key)
-		ks := r.keyShardFor(h0)
-		ks.mu.Lock()
-		rec, ok := ks.m[key]
-		if !ok { // removed while we walked the shards
-			ks.mu.Unlock()
-			continue
-		}
-		if t.recValid(key, h0, rec) {
-			ks.mu.Unlock()
-			continue
-		}
-		// A recorded candidate no longer resolves to its recorded
-		// server (a join captured the region, or the server left), or
-		// the replica count no longer matches the configured factor:
-		// re-run the choice among current candidates.
-		nrec, _, _, _ := t.decideKey(key, h0, nil, false)
-		if lg != nil {
-			// Async: a lost tail update re-homes on the next pass.
-			if err := lg.AppendAsync(journal.Entry{Op: journal.OpUpdateRec, Name: key, Rec: recToJournal(nrec)}); err != nil {
-				ks.mu.Unlock()
-				continue // journal dead: leave the record as journaled
-			}
-		}
-		rec.addLoads(t, h0, -1)
-		nrec.addLoads(t, h0, 1)
-		ks.m[key] = nrec
-		ks.mu.Unlock()
-		moved++
-	}
+	moved, _ := r.planLocked(0).applyLocked(0)
 	if m := r.met.Load(); m != nil {
 		m.RebalancedKeys.Add(0, int64(moved))
 	}
@@ -677,7 +681,7 @@ func (r *Router) CheckInvariants() error {
 		ks := &r.keys[i]
 		ks.mu.RLock()
 		for key, rec := range ks.m {
-			if err := t.checkRec(key, rec); err != nil {
+			if err := t.checkRec(key, Hash('k', 0, key), rec); err != nil {
 				ks.mu.RUnlock()
 				return err
 			}

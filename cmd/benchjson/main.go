@@ -1,5 +1,5 @@
-// Command benchjson runs a small fixed set of hot-path micro-benchmarks
-// and prints the results as JSON, one stable record per operation. The
+// Command benchjson runs the repository's hot-path micro-benchmarks and
+// prints the results as JSON, one stable record per named case. The
 // committed BENCH_baseline.json snapshot at the repository root is
 // produced by
 //
@@ -9,12 +9,18 @@
 // (machine-dependent — regenerate the baseline when the hardware
 // changes; compare like with like).
 //
+// The suite is one table of cases (see cases). The runner goes through
+// the table reps times at a fixed per-run benchtime, and a case's record
+// is its fastest run: single runs on a shared or virtualized host swing
+// by tens of percent, and the minimum is the run the noise disturbed
+// least.
+//
 // # Regression gate
 //
 // With -compare, benchjson re-runs the suite and exits nonzero when any
-// record regresses past -tolerance against the given baseline:
+// record regresses past the tolerance (25%) against the given baseline:
 //
-//	go run ./cmd/benchjson -compare BENCH_baseline.json -tolerance 0.25
+//	go run ./cmd/benchjson -compare BENCH_baseline.json
 //
 // A record regresses when its ns/ball grows, its allocs/op grow, or its
 // ops/sec shrinks by more than the tolerance fraction (an alloc count
@@ -27,9 +33,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -46,6 +54,18 @@ import (
 	"geobalance/internal/router"
 	"geobalance/internal/sim"
 	"geobalance/internal/torus"
+)
+
+const (
+	// reps is N of the min-of-N: every record is the fastest of reps runs.
+	reps = 10
+	// benchtime is the testing.Benchmark budget of one run.
+	benchtime = "100ms"
+	// tolerance is the fractional regression -compare allows per metric.
+	tolerance = 0.25
+
+	// n is the ball count of the simulation cases.
+	n = 1 << 16
 )
 
 type result struct {
@@ -65,185 +85,58 @@ type result struct {
 	P99Ns int64 `json:"p99_ns,omitempty"`
 }
 
-func run(name string, balls int, fn func(b *testing.B)) result {
-	r := testing.Benchmark(fn)
-	out := result{
-		Name:        name,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-	}
-	if balls > 0 {
-		out.NsPerBall = out.NsPerOp / float64(balls)
-	}
-	return out
+// A bench is one row of the suite: a testing.Benchmark body, or a
+// loadgen configuration whose run is one op.
+type bench struct {
+	name  string
+	balls int // balls or keys one op handles: ns_per_ball = ns_per_op / balls
+	procs int // GOMAXPROCS for the run, recorded with ops/sec; 0 keeps the host's
+	fn    func(b *testing.B)
+	load  *loadgen.Config
 }
 
-// runMin reports the fastest of reps runs. Single runs on a shared or
-// virtualized machine carry ±20% noise; records that exist to be
-// compared against a sibling (instrumented vs plain Locate) use the
-// min so the pair's ratio reflects the code, not the noise window
-// each run happened to land in.
-func runMin(name string, balls, reps int, fn func(b *testing.B)) result {
-	best := run(name, balls, fn)
-	for i := 1; i < reps; i++ {
-		if r := run(name, balls, fn); r.NsPerOp < best.NsPerOp {
-			best = r
+// measure runs the cases round-robin, reps times over, and keeps each
+// case's fastest run. Interleaving spreads a case's runs over the whole
+// suite, so a burst of host noise costs it one run, not all of them.
+func measure(cs []bench) ([]result, error) {
+	best := make([]result, len(cs))
+	for i := 0; i < reps; i++ {
+		for j, c := range cs {
+			r, err := runOnce(c)
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 || r.NsPerOp < best[j].NsPerOp {
+				best[j] = r
+			}
 		}
 	}
-	return best
+	return best, nil
 }
 
-// runParallel is run for b.RunParallel throughput benchmarks: it
-// additionally records GOMAXPROCS and aggregate ops/sec.
-func runParallel(name string, fn func(b *testing.B)) result {
-	r := testing.Benchmark(fn)
+func runOnce(c bench) (result, error) {
+	if c.load != nil {
+		return loadgenRecord(c.name, *c.load)
+	}
+	if c.procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+	}
+	r := testing.Benchmark(c.fn)
+	if r.N == 0 {
+		return result{}, fmt.Errorf("benchjson: %s failed", c.name)
+	}
 	out := result{
-		Name:        name,
+		Name:        c.name,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
-		NsPerBall:   float64(r.T.Nanoseconds()) / float64(r.N),
-		Procs:       runtime.GOMAXPROCS(0),
+		Procs:       c.procs,
 	}
-	if r.T > 0 {
+	out.NsPerBall = out.NsPerOp / float64(c.balls)
+	if c.procs > 0 && r.T > 0 {
 		out.OpsPerSec = float64(r.N) / r.T.Seconds()
 	}
-	return out
-}
-
-func newBenchRing(servers, d int) (*hashring.Ring, []string, error) {
-	names := make([]string, servers)
-	for i := range names {
-		names[i] = fmt.Sprintf("server-%d", i)
-	}
-	hr, err := hashring.New(names, hashring.WithChoices(d))
-	if err != nil {
-		return nil, nil, err
-	}
-	const preload = 1 << 14
-	keys := make([]string, preload)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-		if _, err := hr.Place(keys[i]); err != nil {
-			return nil, nil, err
-		}
-	}
-	return hr, keys, nil
-}
-
-// newBenchGeo builds a torus-backed geo router with servers at
-// deterministic random coordinates and a preloaded key set.
-func newBenchGeo(servers, dim, d int) (*router.Geo, []string, error) {
-	geo, err := router.NewGeo(dim, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	r := rng.New(17)
-	at := make(geom.Vec, dim)
-	for i := 0; i < servers; i++ {
-		for j := range at {
-			at[j] = r.Float64()
-		}
-		if err := geo.AddServer(fmt.Sprintf("dc-%d", i), at); err != nil {
-			return nil, nil, err
-		}
-	}
-	const preload = 1 << 14
-	keys := make([]string, preload)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-		if _, err := geo.Place(keys[i]); err != nil {
-			return nil, nil, err
-		}
-	}
-	return geo, keys, nil
-}
-
-// serveLocator is the Locate/Place/Remove surface the router benchmark
-// builders need (hashring.Ring or router.Geo).
-type serveLocator interface {
-	Locate(key string) (string, error)
-	Place(key string) (string, error)
-	Remove(key string) error
-}
-
-// locateParallel builds the parallel Locate benchmark at the current
-// GOMAXPROCS.
-func locateParallel(rt serveLocator, keys []string) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				if _, err := rt.Locate(keys[i&(len(keys)-1)]); err != nil {
-					b.Fatal(err)
-				}
-				i++
-			}
-		})
-	}
-}
-
-// placeRemoveParallel builds the parallel write benchmark: each
-// goroutine cycles Place/Remove over its own key range so writes never
-// collide. The worker counter lives in the builder scope because
-// testing.Benchmark re-invokes the function with growing b.N against
-// the SAME router — a goroutine may end its run with a key still
-// placed, so key ranges must be unique across invocations too — and
-// across records on one router, so build one per router and reuse it
-// (see geoParallelRecords).
-func placeRemoveParallel(rt serveLocator) func(b *testing.B) {
-	var worker atomic.Int64
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			w := worker.Add(1)
-			own := make([]string, 256)
-			for i := range own {
-				own[i] = fmt.Sprintf("pw%d-%d", w, i)
-			}
-			i := 0
-			for pb.Next() {
-				key := own[(i>>1)&255] // place at even i, remove the SAME key at odd i
-				if i&1 == 0 {
-					if _, err := rt.Place(key); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					if err := rt.Remove(key); err != nil {
-						b.Fatal(err)
-					}
-				}
-				i++
-			}
-		})
-	}
-}
-
-// geoParallelRecords measures parallel Locate and Place/Remove
-// throughput on geo at 1 proc and, when nprocs > 1, at nprocs. Both
-// place records share ONE placeRemoveParallel builder and so one
-// worker counter: the procs=1 record leaves keys placed, and a fresh
-// counter would hand the procs=N record those same key names, failing
-// its first Place inside RunParallel.
-func geoParallelRecords(geo *router.Geo, keys []string, label string, nprocs int) []result {
-	place := placeRemoveParallel(geo)
-	prev := runtime.GOMAXPROCS(1)
-	out := []result{
-		runParallel("router_geo_locate_parallel/"+label+"/procs=1", locateParallel(geo, keys)),
-		runParallel("router_geo_place_parallel/"+label+"/procs=1", place),
-	}
-	runtime.GOMAXPROCS(prev)
-	if nprocs > 1 {
-		prev = runtime.GOMAXPROCS(nprocs)
-		out = append(out,
-			runParallel(fmt.Sprintf("router_geo_locate_parallel/%s/procs=%d", label, nprocs),
-				locateParallel(geo, keys)),
-			runParallel(fmt.Sprintf("router_geo_place_parallel/%s/procs=%d", label, nprocs), place))
-		runtime.GOMAXPROCS(prev)
-	}
-	return out
+	return out, nil
 }
 
 // loadgenRecord runs one loadgen configuration and reports its
@@ -263,26 +156,301 @@ func loadgenRecord(name string, cfg loadgen.Config) (result, error) {
 	if res.Lookup.N() > 0 {
 		out.P99Ns = res.Lookup.Quantile(0.99)
 	}
-	if res.Errors > 0 {
-		return out, fmt.Errorf("loadgen %s: %d op errors", name, res.Errors)
+	if res.Errors > 0 || res.LostKeys > 0 {
+		err = fmt.Errorf("loadgen %s: %d op errors, %d keys lost after repair", name, res.Errors, res.LostKeys)
 	}
-	if res.LostKeys > 0 {
-		return out, fmt.Errorf("loadgen %s: %d keys lost after repair", name, res.LostKeys)
-	}
-	return out, nil
+	return out, err
 }
 
-func collect() ([]result, error) {
-	const n = 1 << 16
-	// dim=4 runs at a quarter of the batch: the generic any-dimension
-	// kernel costs several times the specialized dims per ball, and
-	// ns/ball — the gated number — is batch-size-insensitive, so the
-	// smaller run keeps the record's wall clock sane.
-	const n4 = 1 << 14
-	results := []result{
-		// balls=1 for single-lookup ops puts them under the ns/ball
-		// regression gate; batch ops use their batch size.
-		run("ring_locate/n=65536", 1, func(b *testing.B) {
+// preload places key-0 … key-16383 and returns the keys.
+func preload(place func(string) (string, error)) ([]string, error) {
+	keys := make([]string, 1<<14)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%d", i)
+		if _, err := place(keys[i]); err != nil {
+			return nil, err
+		}
+	}
+	return keys, nil
+}
+
+// newBenchGeo builds a torus-backed geo router with servers at
+// deterministic random coordinates and a preloaded key set.
+func newBenchGeo(servers, dim, d int) (*router.Geo, []string, error) {
+	geo, err := router.NewGeo(dim, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := rng.New(17)
+	at := make(geom.Vec, dim)
+	for i := 0; i < servers; i++ {
+		for j := range at {
+			at[j] = r.Float64()
+		}
+		if err := geo.AddServer(fmt.Sprintf("dc-%d", i), at); err != nil {
+			return nil, nil, err
+		}
+	}
+	keys, err := preload(geo.Place)
+	return geo, keys, err
+}
+
+func torusSpace(n, dim int) func(*rng.Rand) (core.Space, error) {
+	return func(r *rng.Rand) (core.Space, error) { return torus.NewRandom(n, dim, r) }
+}
+
+// placeBatch builds a core allocator case: one op resets the allocator
+// and places n balls with d=2 into the space space builds. procs > 0
+// runs PlaceBatchParallel over that many workers instead (its worker
+// handoff allocates per call at procs > 1). The sequential path's zero
+// allocs are part of the gate, so a warm-up call sizes the pipeline
+// scratch before the clock starts.
+func placeBatch(name string, n int, seed uint64, procs int, space func(*rng.Rand) (core.Space, error)) bench {
+	return bench{name: name, balls: n, procs: procs, fn: func(b *testing.B) {
+		r := rng.New(seed)
+		sp, err := space(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		a, err := core.New(sp, core.Config{D: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		place := a.PlaceBatch
+		if procs > 0 {
+			place = func(m int, r *rng.Rand) { a.PlaceBatchParallel(m, 0, r) }
+		}
+		place(n, r)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a.Reset()
+			place(n, r)
+		}
+	}}
+}
+
+// nearest builds the scalar torus nearest-site case at dim.
+func nearest(dim int) bench {
+	return bench{name: fmt.Sprintf("torus_nearest/n=65536/dim=%d", dim), balls: 1, fn: func(b *testing.B) {
+		r := rng.New(5)
+		sp, err := torus.NewRandom(n, dim, r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := sp.Sample(r)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sp.SampleInto(q, r)
+			sp.Nearest(q)
+		}
+	}}
+}
+
+// locate builds a single-key read case cycling through keys.
+func locate(name string, keys []string, read func(string) (string, error)) bench {
+	return bench{name: name, balls: 1, fn: func(b *testing.B) {
+		b.ReportAllocs()
+		j := 0
+		for i := 0; i < b.N; i++ {
+			if _, err := read(keys[j]); err != nil {
+				b.Fatal(err)
+			}
+			if j++; j == len(keys) {
+				j = 0
+			}
+		}
+	}}
+}
+
+// cycle builds a scalar write case over the first 4096 keys. A key must
+// be removed before it can be re-placed, so one op is a REMOVE+PLACE
+// cycle: compare these records with each other, not with a lone
+// placement. On a replicated router Place writes the whole replica set.
+func cycle(name string, rt *router.Router, keys []string) bench {
+	return bench{name: name, balls: 1, fn: func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			key := keys[i&4095]
+			if err := rt.Remove(key); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rt.Place(key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}}
+}
+
+// closeOffClock closes lg with the timer stopped, once a run ends.
+func closeOffClock(b *testing.B, lg *journal.Log) {
+	b.StopTimer()
+	if err := lg.Close(); err != nil {
+		b.Error(err)
+	}
+}
+
+// batch builds a bulk case of bsz keys: one op is a LocateBatch, or
+// with write set a RemoveBatch plus a PlaceBatch of the same keys (the
+// bulk REMOVE+PLACE cycle). ns/ball is per key and compares with the
+// scalar Locate and cycle records. A warm-up op sizes the pooled
+// scratch before the clock starts.
+func batch(label string, rt *router.Router, keys []string, bsz int, write bool) bench {
+	name, mask := "router_locate_batch", len(keys)-1
+	ops := []func([]string, []router.BatchResult){rt.LocateBatch}
+	if write {
+		name, mask = "router_place_batch", 4095
+		ops = []func([]string, []router.BatchResult){rt.RemoveBatch, rt.PlaceBatch}
+	}
+	out := make([]router.BatchResult, bsz)
+	return bench{name: fmt.Sprintf("%s/%s/batch=%d", name, label, bsz), balls: bsz, fn: func(b *testing.B) {
+		for _, op := range ops {
+			op(keys[:bsz], out)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ks := keys[(i*bsz)&mask:][:bsz]
+			for _, op := range ops {
+				op(ks, out)
+				for j := range out {
+					if out[j].Err != nil {
+						b.Fatal(out[j].Err)
+					}
+				}
+			}
+		}
+	}}
+}
+
+// parallel builds one b.RunParallel case per proc count: 1, and nprocs
+// when the host has more.
+func parallel(name string, nprocs int, fn func(b *testing.B)) []bench {
+	rows := []bench{{name: name + "/procs=1", balls: 1, procs: 1, fn: fn}}
+	if nprocs > 1 {
+		rows = append(rows, bench{name: fmt.Sprintf("%s/procs=%d", name, nprocs), balls: 1, procs: nprocs, fn: fn})
+	}
+	return rows
+}
+
+func locateParallel(rt *router.Router, keys []string) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				if _, err := rt.Locate(keys[i&(len(keys)-1)]); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
+	}
+}
+
+// geoParallel builds the parallel Locate and Place/Remove cases on geo.
+// Each place goroutine cycles Place/Remove over its own key range so
+// writes never collide. testing.Benchmark re-invokes the body with
+// growing b.N against the SAME router, and a goroutine may end its run
+// with a key still placed, so key ranges must be unique across
+// invocations too: every place case shares ONE worker counter. A fresh
+// counter per proc count would hand the procs=N case the keys the
+// procs=1 case left placed, failing its first Place.
+func geoParallel(rt *router.Router, keys []string, label string, nprocs int) []bench {
+	var worker atomic.Int64
+	place := func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			w := worker.Add(1)
+			own := make([]string, 256)
+			for i := range own {
+				own[i] = fmt.Sprintf("pw%d-%d", w, i)
+			}
+			i := 0
+			for pb.Next() {
+				key := own[(i>>1)&255] // place at even i, remove the SAME key at odd i
+				if i&1 == 0 {
+					if _, err := rt.Place(key); err != nil {
+						b.Fatal(err)
+					}
+				} else if err := rt.Remove(key); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
+	}
+	return append(parallel("router_geo_locate_parallel/"+label, nprocs, locateParallel(rt, keys)),
+		parallel("router_geo_place_parallel/"+label, nprocs, place)...)
+}
+
+// cases builds the suite. Cases share a router only when they leave
+// its configuration as they found it: the journaled case attaches its
+// journal for one run at a time, and a case that arms a setting for
+// good (the metrics hook, bounded load, replication, a crash) gets a
+// router of its own, so no setting leaks into another case's numbers.
+// The routers are built identically, so a delta between two of them is
+// the cost of the one setting. Journal files go under dir; reg is the
+// registry the instrumented case's router reports to.
+func cases(dir string, reg *metrics.Registry) ([]bench, error) {
+	nprocs := runtime.GOMAXPROCS(0)
+	names := make([]string, 1024)
+	for i := range names {
+		names[i] = fmt.Sprintf("server-%d", i)
+	}
+	hr, err := hashring.New(names, hashring.WithChoices(2))
+	if err != nil {
+		return nil, err
+	}
+	keys, ferr := preload(hr.Place)
+	// fixture builds a geo router and applies setups in order. Errors
+	// collect in ferr and are checked once, before any case is built.
+	fixture := func(dim, d int, setups ...func(g *router.Geo) error) *router.Geo {
+		g, _, err := newBenchGeo(1024, dim, d)
+		for i := 0; err == nil && i < len(setups); i++ {
+			err = setups[i](g)
+		}
+		ferr = errors.Join(ferr, err)
+		return g
+	}
+	replicate := func(g *router.Geo) error {
+		err := g.SetReplication(2)
+		g.Repair() // every preloaded record takes its second replica
+		return err
+	}
+	geo := fixture(2, 2)
+	geo3 := fixture(3, 2)
+	inst := fixture(2, 2, func(g *router.Geo) error { g.Instrument(reg); return nil })
+	bounded := fixture(2, 2, func(g *router.Geo) error { return g.SetBoundedLoad(2) })
+	// The parallel place cases leave keys placed behind them.
+	par := fixture(2, 2)
+	repl := fixture(2, 3, replicate)
+	// 1/16 of the fleet crashes un-repaired, so LocateAny routes around
+	// dead primaries.
+	crashed := fixture(2, 3, replicate, func(g *router.Geo) error {
+		for _, name := range g.Servers()[:64] {
+			if err := g.RemoveServer(name); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	sched, err := loadgen.ConstantRate(25_000, 400*time.Millisecond)
+	if ferr = errors.Join(ferr, err); ferr != nil {
+		return nil, ferr
+	}
+	// A read whose every replica died returns an allocated error by
+	// design, so the failover case reads only keys with a live replica.
+	var fkeys []string
+	for _, key := range keys {
+		if _, err := crashed.LocateAny(key); err == nil {
+			fkeys = append(fkeys, key)
+		}
+	}
+
+	cs := []bench{
+		{name: "ring_locate/n=65536", balls: 1, fn: func(b *testing.B) {
 			r := rng.New(1)
 			sp, err := ring.NewRandom(n, r)
 			if err != nil {
@@ -295,8 +463,8 @@ func collect() ([]result, error) {
 				sink += sp.Locate(r.Float64())
 			}
 			_ = sink
-		}),
-		run("ring_reseed/n=65536", n, func(b *testing.B) {
+		}},
+		{name: "ring_reseed/n=65536", balls: n, fn: func(b *testing.B) {
 			r := rng.New(2)
 			sp, err := ring.NewRandom(n, r)
 			if err != nil {
@@ -307,16 +475,15 @@ func collect() ([]result, error) {
 			for i := 0; i < b.N; i++ {
 				sp.Reseed(r)
 			}
-		}),
-		// The pooled-trial record measures the steady state the sim
-		// workers run in: the space and allocator are built once (warmed
-		// before the timer) and the per-trial generator is re-seeded in
-		// place, so the loop performs zero allocations — gated exactly.
-		run("ring_trial_reused/n=65536/d=2", n, func(b *testing.B) {
+		}},
+		// The steady state the sim workers run in: the space and
+		// allocator are built once (warmed before the timer) and the
+		// per-trial generator is re-seeded in place.
+		{name: "ring_trial_reused/n=65536/d=2", balls: n, fn: func(b *testing.B) {
 			trial := sim.RingTrialPooled(n, n, 2, core.TieRandom, false)()
 			var r rng.Rand
 			r.SeedStream(3, 0)
-			if _, err := trial(&r); err != nil { // builds the pooled state
+			if _, err := trial(&r); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
@@ -327,119 +494,20 @@ func collect() ([]result, error) {
 					b.Fatal(err)
 				}
 			}
-		}),
-		run("ring_place_batch/n=65536/d=2", n, func(b *testing.B) {
-			r := rng.New(4)
-			sp, err := ring.NewRandom(n, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := core.New(sp, core.Config{D: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.PlaceBatch(n, r) // size the pipeline scratch before the alloc gate
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.Reset()
-				a.PlaceBatch(n, r)
-			}
-		}),
-		run("torus_nearest/n=65536/dim=2", 1, func(b *testing.B) {
-			r := rng.New(5)
-			sp, err := torus.NewRandom(n, 2, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q := sp.Sample(r)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sp.SampleInto(q, r)
-				sp.Nearest(q)
-			}
-		}),
-		run("torus_nearest/n=65536/dim=3", 1, func(b *testing.B) {
-			r := rng.New(5)
-			sp, err := torus.NewRandom(n, 3, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q := sp.Sample(r)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sp.SampleInto(q, r)
-				sp.Nearest(q)
-			}
-		}),
-		// The torus bulk placement path (core's concrete torus loop):
-		// zero allocs per ball is part of the gate — the baseline alloc
-		// column is 0, so ANY allocation fails CI. These three records
-		// carry per-dimension ns/ball targets, so they run min-of-3 like
-		// the paired records below.
-		runMin("torus_place_batch/n=65536/dim=2/d=2", n, 3, func(b *testing.B) {
-			r := rng.New(7)
-			sp, err := torus.NewRandom(n, 2, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := core.New(sp, core.Config{D: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.PlaceBatch(n, r) // size the pipeline scratch before the alloc gate
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.Reset()
-				a.PlaceBatch(n, r)
-			}
-		}),
-		runMin("torus_place_batch/n=65536/dim=3/d=2", n, 3, func(b *testing.B) {
-			r := rng.New(8)
-			sp, err := torus.NewRandom(n, 3, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := core.New(sp, core.Config{D: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.PlaceBatch(n, r) // size the pipeline scratch before the alloc gate
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.Reset()
-				a.PlaceBatch(n, r)
-			}
-		}),
-		// The generic-dimension kernel path (no specialized nearest
-		// kernel exists for dim >= 4), so the non-specialized code is
-		// perf-tracked too.
-		runMin("torus_place_batch/n=16384/dim=4/d=2", n4, 3, func(b *testing.B) {
-			r := rng.New(8)
-			sp, err := torus.NewRandom(n4, 4, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := core.New(sp, core.Config{D: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.PlaceBatch(n4, r) // size the pipeline scratch before the alloc gate
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.Reset()
-				a.PlaceBatch(n4, r)
-			}
-		}),
-		// The cell-sorted bulk-nearest kernel on its own (one op = one
-		// 4096-query batch; ns/ball is per query). Zero allocs after the
-		// warmup call — gated exactly.
-		run("torus_nearest_batch/n=65536/dim=2", 4096, func(b *testing.B) {
+		}},
+		placeBatch("ring_place_batch/n=65536/d=2", n, 4, 0, func(r *rng.Rand) (core.Space, error) { return ring.NewRandom(n, r) }),
+		nearest(2),
+		nearest(3),
+		placeBatch("torus_place_batch/n=65536/dim=2/d=2", n, 7, 0, torusSpace(n, 2)),
+		placeBatch("torus_place_batch/n=65536/dim=3/d=2", n, 8, 0, torusSpace(n, 3)),
+		// No specialized nearest kernel exists for dim >= 4, so this
+		// tracks the generic path. It runs a quarter of n: the generic
+		// kernel costs several times the specialized dims per ball, and
+		// ns/ball is batch-size-insensitive.
+		placeBatch("torus_place_batch/n=16384/dim=4/d=2", 1<<14, 8, 0, torusSpace(1<<14, 4)),
+		// The cell-sorted bulk-nearest kernel on its own: one op is one
+		// 4096-query batch.
+		{name: "torus_nearest_batch/n=65536/dim=2", balls: 4096, fn: func(b *testing.B) {
 			r := rng.New(9)
 			sp, err := torus.NewRandom(n, 2, r)
 			if err != nil {
@@ -450,462 +518,148 @@ func collect() ([]result, error) {
 				pts[i] = r.Float64()
 			}
 			out := make([]int32, 4096)
-			sp.NearestBatch(pts, out) // size the scratch
+			sp.NearestBatch(pts, out)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sp.NearestBatch(pts, out)
 			}
-		}),
-		run("uniform_place_batch/n=65536/d=2", n, func(b *testing.B) {
-			sp, err := core.NewUniform(n)
+		}},
+		placeBatch("uniform_place_batch/n=65536/d=2", n, 6, 0, func(*rng.Rand) (core.Space, error) { return core.NewUniform(n) }),
+		// The parallel pipeline shards the bulk-nearest phase over
+		// GOMAXPROCS workers; the proc count in the name keeps baselines
+		// like-for-like.
+		placeBatch(fmt.Sprintf("torus_place_batch_parallel/n=65536/dim=2/d=2/procs=%d", nprocs), n, 7, nprocs, torusSpace(n, 2)),
+
+		locate("hashring_locate/servers=1024", keys, hr.Locate),
+		cycle("hashring_place_remove/servers=1024", hr.Router, keys),
+		locate("router_geo_locate/servers=1024/dim=2", keys, geo.Locate),
+		cycle("router_geo_place/servers=1024/dim=2", geo.Router, keys),
+		// The full router_* instrument set attached: the delta against
+		// router_geo_locate is the metrics hook, one atomic pointer load,
+		// a branch and one sharded atomic add.
+		locate("router_geo_locate_instrumented/servers=1024/dim=2", keys, inst.Locate),
+		// Bounded-load admission armed: c=2 leaves the preloaded d-choice
+		// equilibrium far under the ceiling, so no op is rejected and the
+		// delta against router_geo_place is the admission check.
+		cycle("router_place_bounded/servers=1024/dim=2/c=2", bounded.Router, keys),
+		// A NoSync journal attached: the delta against router_geo_place
+		// is encoding, CRC-framing and buffering two WAL records per
+		// cycle (the fsync is the disk's price, group-committed across
+		// writers). Each run appends to a fresh journal on the plain
+		// router, detached when the run ends, so the WAL stays bounded.
+		{name: "router_place_journaled/servers=1024/dim=2", balls: 1, fn: func(b *testing.B) {
+			body := cycle("", geo.Router, keys).fn
+			lg, err := geo.StartJournal(filepath.Join(dir, "wal"), journal.Options{NoSync: true})
 			if err != nil {
 				b.Fatal(err)
 			}
-			a, err := core.New(sp, core.Config{D: 2})
+			defer closeOffClock(b, lg)
+			defer geo.SetJournal(nil)
+			b.ResetTimer()
+			body(b)
+		}},
+		// The raw append on its own: one OpPlace record encoded, framed
+		// and buffered per op into a fresh journal per run, compacted off
+		// the clock so the WAL stays bounded at large b.N.
+		{name: "journal_append", balls: 1, fn: func(b *testing.B) {
+			lg, err := journal.Create(filepath.Join(dir, "append"), journal.Header{Kind: "geo", Dim: 2, D: 2}, nil, journal.Options{NoSync: true})
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := rng.New(6)
+			defer closeOffClock(b, lg)
+			e := journal.Entry{Op: journal.OpPlace, Name: "key-00001234", Rec: journal.Rec{N: 1, Slots: [journal.MaxReplicas]int32{271}}}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.Reset()
-				a.PlaceBatch(n, r)
-			}
-		}),
-	}
-
-	// The parallel pipeline: PlaceBatchParallel shards the bulk-nearest
-	// phase over GOMAXPROCS workers (bit-identical results; see
-	// core/pipeline.go). The record carries the proc count in its name,
-	// so baselines only gate like-for-like machines.
-	nprocsPlace := runtime.GOMAXPROCS(0)
-	recPar := run(fmt.Sprintf("torus_place_batch_parallel/n=65536/dim=2/d=2/procs=%d", nprocsPlace), n,
-		func(b *testing.B) {
-			r := rng.New(7)
-			sp, err := torus.NewRandom(n, 2, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a, err := core.New(sp, core.Config{D: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a.PlaceBatchParallel(n, 0, r) // size the scratch before the alloc gate
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				a.Reset()
-				a.PlaceBatchParallel(n, 0, r)
-			}
-		})
-	recPar.Procs = nprocsPlace
-	results = append(results, recPar)
-
-	// --- Concurrent hashring router ---
-	hr, keys, err := newBenchRing(1024, 2)
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, run("hashring_locate/servers=1024", 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := hr.Locate(keys[i&(len(keys)-1)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	results = append(results, run("hashring_place_remove/servers=1024", 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			key := keys[i&4095]
-			if err := hr.Remove(key); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := hr.Place(key); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
-	// Parallel Locate throughput at 1 proc and at the machine's full
-	// GOMAXPROCS — the pair records the scaling the snapshot design
-	// buys (identical on single-CPU machines, where only the procs=1
-	// record is emitted).
-	nprocs := runtime.GOMAXPROCS(0)
-	prev := runtime.GOMAXPROCS(1)
-	results = append(results,
-		runParallel("hashring_locate_parallel/servers=1024/procs=1", locateParallel(hr, keys)))
-	runtime.GOMAXPROCS(prev)
-	if nprocs > 1 {
-		results = append(results,
-			runParallel(fmt.Sprintf("hashring_locate_parallel/servers=1024/procs=%d", nprocs),
-				locateParallel(hr, keys)))
-	}
-
-	// --- Torus-backed geographic router (router.Geo) ---
-	// The same serving core as hashring behind the torus metric: Locate
-	// reads a key record, Place resolves d hashed torus points through
-	// the grid nearest-site kernel. Like hashring_place_remove, the
-	// place records measure one REMOVE+PLACE CYCLE per op (a key must
-	// be removed before it can be re-placed), so compare them to that
-	// record, not to a lone placement. Zero allocs on all of them is
-	// part of the gate (the baseline alloc columns are 0, so ANY
-	// allocation fails CI).
-	geo, gkeys, err := newBenchGeo(1024, 2, 2)
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, runMin("router_geo_locate/servers=1024/dim=2", 1, 5, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := geo.Locate(gkeys[i&(len(gkeys)-1)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	results = append(results, run("router_geo_place/servers=1024/dim=2", 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			key := gkeys[i&4095]
-			if err := geo.Remove(key); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := geo.Place(key); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	results = append(results, geoParallelRecords(geo, gkeys, "servers=1024/dim=2", nprocs)...)
-
-	// --- Bulk serving path: LocateBatch/PlaceBatch on the same router ---
-	// One op is a 256-key bulk call, so ns/ball is per key and compares
-	// directly against the scalar router_geo_locate and router_geo_place
-	// cycles above (the place record is a REMOVE+PLACE cycle per key,
-	// like its scalar sibling). The batch path loads the snapshot once,
-	// bulk-hashes the keys, resolves candidates through the torus batch
-	// kernel, and commits each key under its own shard lock. Zero
-	// allocs is part of the gate — the shared scratch is pooled and
-	// sized by a warm-up call before the clock starts.
-	const bsz = 256
-	bout := make([]router.BatchResult, bsz)
-	checkBatch := func(b *testing.B, out []router.BatchResult) {
-		for j := range out {
-			if out[j].Err != nil {
-				b.Fatal(out[j].Err)
-			}
-		}
-	}
-	results = append(results, runMin("router_locate_batch/servers=1024/dim=2/batch=256", bsz, 5, func(b *testing.B) {
-		geo.LocateBatch(gkeys[:bsz], bout) // size the pooled scratch
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			off := (i * bsz) & (len(gkeys) - 1)
-			geo.LocateBatch(gkeys[off:off+bsz], bout)
-			checkBatch(b, bout)
-		}
-	}))
-	results = append(results, runMin("router_place_batch/servers=1024/dim=2/batch=256", bsz, 5, func(b *testing.B) {
-		geo.RemoveBatch(gkeys[:bsz], bout)
-		geo.PlaceBatch(gkeys[:bsz], bout) // size the pooled scratch
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			off := (i * bsz) & 4095
-			keys := gkeys[off : off+bsz]
-			geo.RemoveBatch(keys, bout)
-			checkBatch(b, bout)
-			geo.PlaceBatch(keys, bout)
-			checkBatch(b, bout)
-		}
-	}))
-	// The dim-3 batch cycle rides the 3x3x3-brick overlapped torus
-	// kernel end to end through the router.
-	geo3, g3keys, err := newBenchGeo(1024, 3, 2)
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, runMin("router_place_batch/servers=1024/dim=3/batch=256", bsz, 5, func(b *testing.B) {
-		geo3.RemoveBatch(g3keys[:bsz], bout)
-		geo3.PlaceBatch(g3keys[:bsz], bout) // size the pooled scratch
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			off := (i * bsz) & 4095
-			keys := g3keys[off : off+bsz]
-			geo3.RemoveBatch(keys, bout)
-			checkBatch(b, bout)
-			geo3.PlaceBatch(keys, bout)
-			checkBatch(b, bout)
-		}
-	}))
-
-	// The instrumented Locate path: the same router with the full
-	// router_* instrument set attached (counters + slot-load
-	// collectors). The delta against router_geo_locate is the cost of
-	// the metrics hook — one atomic pointer load, a branch, and one
-	// sharded atomic add (~7ns on the dev container; an atomic RMW is
-	// the floor for concurrency-exact counting) — and zero allocs
-	// stays part of the gate. Both sides of the pair are min-of-3 so
-	// the ratio compares code, not noise windows.
-	geo.Instrument(metrics.NewRegistry())
-	results = append(results, runMin("router_geo_locate_instrumented/servers=1024/dim=2", 1, 5, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := geo.Locate(gkeys[i&(len(gkeys)-1)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
-	// The bounded-load admission path: the same remove+place cycle as
-	// router_geo_place with SetBoundedLoad armed, so the delta against
-	// that record is the cost of the admission check (snapshot ceiling
-	// math plus the candidate filter). c=2 leaves the preloaded d-choice
-	// equilibrium far under the ceiling, so no op is ever rejected and
-	// every iteration measures the same admit-path work. Zero allocs is
-	// part of the gate.
-	if err := geo.SetBoundedLoad(2); err != nil {
-		return nil, err
-	}
-	results = append(results, run("router_place_bounded/servers=1024/dim=2/c=2", 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			key := gkeys[i&4095]
-			if err := geo.Remove(key); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := geo.Place(key); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	if err := geo.SetBoundedLoad(0); err != nil {
-		return nil, err
-	}
-
-	// --- Durable placement: the write-ahead journal's hot-path cost ---
-	// The same remove+place cycle as router_geo_place with a NoSync
-	// journal attached, so the delta against that record is the cost of
-	// encoding, CRC-framing, and buffering two WAL records per cycle
-	// (the fsync is the disk's price, not the code's — sync mode
-	// group-commits it across writers). Min-of-3 on both sides of the
-	// pair. The log is compacted every 128k cycles off the clock so the
-	// WAL cannot eat the disk at large b.N.
-	jdir, err := os.MkdirTemp("", "benchjson-journal")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(jdir)
-	jlg, err := geo.StartJournal(jdir, journal.Options{NoSync: true})
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, runMin("router_place_journaled/servers=1024/dim=2", 1, 3, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			key := gkeys[i&4095]
-			if err := geo.Remove(key); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := geo.Place(key); err != nil {
-				b.Fatal(err)
-			}
-			if i&(1<<17-1) == 1<<17-1 {
-				b.StopTimer()
-				if err := geo.CompactJournal(); err != nil {
+				if err := lg.Append(e); err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
-			}
-		}
-	}))
-	if err := jlg.Close(); err != nil {
-		return nil, err
-	}
-
-	// The raw append, isolated from the router: one OpPlace record
-	// encoded, framed, and buffered per op (NoSync, compacted off the
-	// clock as above).
-	alg, err := journal.Create(jdir+"-append", journal.Header{Kind: "geo", Dim: 2, D: 2}, nil, journal.Options{NoSync: true})
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(jdir + "-append")
-	appendEntry := journal.Entry{
-		Op:   journal.OpPlace,
-		Name: "key-00001234",
-		Rec:  journal.Rec{N: 1, Slots: [journal.MaxReplicas]int32{271}},
-	}
-	results = append(results, runMin("journal_append", 1, 3, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := alg.Append(appendEntry); err != nil {
-				b.Fatal(err)
-			}
-			if i&(1<<18-1) == 1<<18-1 {
-				b.StopTimer()
-				if err := alg.Compact(nil); err != nil {
-					b.Fatal(err)
+				if i&(1<<18-1) == 1<<18-1 {
+					b.StopTimer()
+					if err := lg.Compact(nil); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
 				}
-				b.StartTimer()
 			}
-		}
-	}))
-	if err := alg.Close(); err != nil {
-		return nil, err
-	}
+		}},
+		// r=2 of d=3 candidates: each cycle writes and un-writes two
+		// replica records and two load counters.
+		cycle("router_place_replicated/servers=1024/dim=2/r=2", repl.Router, keys),
+		locate("router_locate_failover/servers=1024/dim=2/r=2", fkeys, crashed.LocateAny),
 
-	// --- Replicated placement and failover reads ---
-	// r=2 of d=3 candidates: one op is a REMOVE+PLACE cycle as above,
-	// now writing (and un-writing) two replica records and two load
-	// counters. Zero allocs is part of the gate.
-	geoR, rkeys, err := newBenchGeo(1024, 2, 3)
-	if err != nil {
-		return nil, err
+		{name: "loadgen_zipf/servers=64/workers=4", load: &loadgen.Config{
+			Servers: 64, Workers: 4, Ops: 300_000, Keys: 1 << 12, Dist: "zipf", LookupFrac: 0.9, Seed: 42,
+		}},
+		{name: "loadgen_zipf_churn/servers=64/workers=4", load: &loadgen.Config{
+			Servers: 64, Workers: 4, Ops: 300_000, Keys: 1 << 12, Dist: "zipf", LookupFrac: 0.9, Seed: 43,
+			ChurnEvery: 5 * time.Millisecond, Rebalance: true,
+		}},
+		{name: "loadgen_zipf_torus/servers=64/workers=4/dim=2", load: &loadgen.Config{
+			Space: "torus", Dim: 2, Servers: 64, Workers: 4, Ops: 300_000, Keys: 1 << 12,
+			Dist: "zipf", LookupFrac: 0.9, Seed: 44,
+		}},
+		// A replicated fleet with a scripted crash, zone outage and
+		// graceful leave landing mid-run; any key lost after repair
+		// fails the run.
+		{name: "loadgen_failover_torus/servers=64/workers=4/dim=2/r=2", load: &loadgen.Config{
+			Space: "torus", Dim: 2, Servers: 64, Choices: 3, KeyReplicas: 2, Workers: 4,
+			Duration: 400 * time.Millisecond, Keys: 1 << 12, Dist: "zipf", LookupFrac: 0.9, Seed: 45,
+			Failures: loadgen.FailureScript{
+				{After: 50 * time.Millisecond, Kind: loadgen.FailCrash, Frac: 0.1},
+				{After: 150 * time.Millisecond, Kind: loadgen.FailZone, Frac: 0.2},
+				{After: 250 * time.Millisecond, Kind: loadgen.FailLeave, Frac: 0.1},
+			},
+		}},
+		// Open-loop arrivals well under capacity with the registry
+		// attached: ns/op is dominated by scheduled inter-arrival sleep,
+		// so ops/sec only drops when the harness falls behind.
+		{name: "loadgen_openloop_torus/servers=64/workers=4/dim=2", load: &loadgen.Config{
+			Space: "torus", Dim: 2, Servers: 64, Workers: 4, Keys: 1 << 12,
+			Dist: "zipf", LookupFrac: 0.9, Seed: 46,
+			Arrivals: sched, Registry: metrics.NewRegistry(),
+		}},
+		// The overload lab: bounded-load admission, a cascade brownout
+		// of a third of the fleet, client retries with backoff, and
+		// hedged reads over the simulated service model.
+		{name: "loadgen_overload_torus/servers=64/workers=4/dim=2/r=2", load: &loadgen.Config{
+			Space: "torus", Dim: 2, Servers: 64, Choices: 3, KeyReplicas: 2, Workers: 4,
+			Duration: 400 * time.Millisecond, Keys: 1 << 10, Dist: "zipf", LookupFrac: 0.5, Seed: 47,
+			BoundedLoad: 1.5, ServiceRate: 50_000, Retries: 3,
+			RetryBase: 500 * time.Microsecond, RetryCap: 8 * time.Millisecond,
+			HedgeAfter: 2 * time.Millisecond,
+			Failures: loadgen.FailureScript{
+				{After: 50 * time.Millisecond, Kind: loadgen.FailCascade, Frac: 0.3},
+			},
+		}},
 	}
-	if err := geoR.SetReplication(2); err != nil {
-		return nil, err
-	}
-	// Re-place the preloaded keys so every record is replicated before
-	// the clock starts.
-	for _, key := range rkeys {
-		if err := geoR.Remove(key); err != nil {
-			return nil, err
-		}
-		if _, _, err := geoR.PlaceReplicated(key); err != nil {
-			return nil, err
+	cs = append(cs, parallel("hashring_locate_parallel/servers=1024", nprocs, locateParallel(hr.Router, keys))...)
+	cs = append(cs, geoParallel(par.Router, keys, "servers=1024/dim=2", nprocs)...)
+	// The bulk serving path swept over batch sizes: one op is one bulk
+	// call, and ns/ball is per key. The dim-3 cases ride the
+	// 3x3x3-brick torus batch kernel.
+	for _, g := range []*router.Geo{geo, geo3} {
+		label := fmt.Sprintf("servers=1024/dim=%d", g.Dim())
+		for _, bsz := range []int{1, 4, 16, 64, 256} {
+			cs = append(cs, batch(label, g.Router, keys, bsz, false), batch(label, g.Router, keys, bsz, true))
 		}
 	}
-	results = append(results, run("router_place_replicated/servers=1024/dim=2/r=2", 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			key := rkeys[i&4095]
-			if err := geoR.Remove(key); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := geoR.PlaceReplicated(key); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	// The failover read after a mass crash: 1/16 of the fleet is gone
-	// un-repaired, so LocateAny routes around dead primaries on the hot
-	// path. Keys whose every replica died are filtered out up front (a
-	// failed read returns an allocated error by design; the record is
-	// what Repair works from).
-	crashed := geoR.Servers()[:64]
-	for _, name := range crashed {
-		if err := geoR.RemoveServer(name); err != nil {
-			return nil, err
-		}
-	}
-	fkeys := rkeys[:0:0]
-	for _, key := range rkeys {
-		if _, err := geoR.LocateAny(key); err == nil {
-			fkeys = append(fkeys, key)
-		}
-	}
-	if len(fkeys) == 0 {
-		return nil, fmt.Errorf("benchjson: no locatable keys after the scripted crash")
-	}
-	results = append(results, run("router_locate_failover/servers=1024/dim=2/r=2", 1, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := geoR.LocateAny(fkeys[i%len(fkeys)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
+	return cs, nil
+}
 
-	// --- Load-test harness: skewed concurrent traffic ---
-	lg, err := loadgenRecord("loadgen_zipf/servers=64/workers=4", loadgen.Config{
-		Servers: 64, Workers: 4, Ops: 300_000, Keys: 1 << 12, Dist: "zipf", LookupFrac: 0.9, Seed: 42,
-	})
+// collect runs every case of the suite and returns their records.
+func collect() ([]result, error) {
+	dir, err := os.MkdirTemp("", "benchjson")
 	if err != nil {
 		return nil, err
 	}
-	results = append(results, lg)
-	lgc, err := loadgenRecord("loadgen_zipf_churn/servers=64/workers=4", loadgen.Config{
-		Servers: 64, Workers: 4, Ops: 300_000, Keys: 1 << 12, Dist: "zipf", LookupFrac: 0.9, Seed: 43,
-		ChurnEvery: 5 * time.Millisecond, Rebalance: true,
-	})
+	defer os.RemoveAll(dir)
+	cs, err := cases(dir, metrics.NewRegistry())
 	if err != nil {
 		return nil, err
 	}
-	results = append(results, lgc)
-	// The same harness over the torus-backed geo router: end-to-end
-	// serving throughput of the grid nearest-site path under skewed
-	// concurrent traffic.
-	lgt, err := loadgenRecord("loadgen_zipf_torus/servers=64/workers=4/dim=2", loadgen.Config{
-		Space: "torus", Dim: 2, Servers: 64, Workers: 4, Ops: 300_000, Keys: 1 << 12,
-		Dist: "zipf", LookupFrac: 0.9, Seed: 44,
-	})
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, lgt)
-	// End-to-end failover throughput: replicated torus fleet under Zipf
-	// traffic with a scripted crash, zone outage, and graceful leave
-	// landing mid-run. loadgenRecord fails the run outright on any
-	// harness error or any key lost after repair.
-	lgf, err := loadgenRecord("loadgen_failover_torus/servers=64/workers=4/dim=2/r=2", loadgen.Config{
-		Space: "torus", Dim: 2, Servers: 64, Choices: 3, KeyReplicas: 2, Workers: 4,
-		Duration: 400 * time.Millisecond, Keys: 1 << 12, Dist: "zipf", LookupFrac: 0.9, Seed: 45,
-		Failures: loadgen.FailureScript{
-			{After: 50 * time.Millisecond, Kind: loadgen.FailCrash, Frac: 0.1},
-			{After: 150 * time.Millisecond, Kind: loadgen.FailZone, Frac: 0.2},
-			{After: 250 * time.Millisecond, Kind: loadgen.FailLeave, Frac: 0.1},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, lgf)
-	// Open-loop arrivals with the registry attached: a constant-rate
-	// schedule well under capacity, so the record gates that the
-	// instrumented harness keeps pace (ops/sec tracks the scheduled
-	// rate; falling behind the schedule shows up as an ops/sec drop).
-	// The rate leaves generous headroom on purpose: ns/op here is
-	// dominated by scheduled inter-arrival sleep, so the record is
-	// stable as long as the machine can keep pace, and a regression
-	// only fires when the harness genuinely falls behind the schedule.
-	sched, err := loadgen.ConstantRate(25_000, 400*time.Millisecond)
-	if err != nil {
-		return nil, err
-	}
-	lgo, err := loadgenRecord("loadgen_openloop_torus/servers=64/workers=4/dim=2", loadgen.Config{
-		Space: "torus", Dim: 2, Servers: 64, Workers: 4, Keys: 1 << 12,
-		Dist: "zipf", LookupFrac: 0.9, Seed: 46,
-		Arrivals: sched, Registry: metrics.NewRegistry(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, lgo)
-	// The overload lab end to end: bounded-load admission, a cascade
-	// brownout of a third of the fleet, client retries with backoff, and
-	// hedged reads over the simulated service model. The record gates
-	// the protected path's throughput — shed ops count as completed work
-	// for accounting but not for goodput; what matters here is that the
-	// admission+retry+hedge machinery stays cheap under pressure.
-	lgb, err := loadgenRecord("loadgen_overload_torus/servers=64/workers=4/dim=2/r=2", loadgen.Config{
-		Space: "torus", Dim: 2, Servers: 64, Choices: 3, KeyReplicas: 2, Workers: 4,
-		Duration: 400 * time.Millisecond, Keys: 1 << 10, Dist: "zipf", LookupFrac: 0.5, Seed: 47,
-		BoundedLoad: 1.5, ServiceRate: 50_000, Retries: 3,
-		RetryBase: 500 * time.Microsecond, RetryCap: 8 * time.Millisecond,
-		HedgeAfter: 2 * time.Millisecond,
-		Failures: loadgen.FailureScript{
-			{After: 50 * time.Millisecond, Kind: loadgen.FailCascade, Frac: 0.3},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	results = append(results, lgb)
-	return results, nil
+	return measure(cs)
 }
 
 type report struct {
@@ -964,43 +718,49 @@ func compare(baselinePath string, tol float64, fresh []result) (int, error) {
 }
 
 func main() {
-	compareFlag := flag.String("compare", "", "baseline JSON to gate against; exit 1 on regression")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional regression per metric")
-	out := flag.String("out", "", "also write the fresh JSON to this file")
-	flag.Parse()
-
-	results, err := collect()
-	if err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	rep := report{Schema: 2, Results: results}
-	encoded, err := json.MarshalIndent(rep, "", "  ")
+}
+
+func run() error {
+	compareFlag := flag.String("compare", "", "baseline JSON to gate against; exit 1 on regression")
+	out := flag.String("out", "", "also write the fresh JSON to this file")
+	flag.Parse()
+	// testing.Benchmark reads its budget from the test.benchtime flag;
+	// registering the testing flags after Parse keeps them off the
+	// command line.
+	testing.Init()
+	if err := flag.Set("test.benchtime", benchtime); err != nil {
+		return err
+	}
+	results, err := collect()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
+	}
+	encoded, err := json.MarshalIndent(report{Schema: 2, Results: results}, "", "  ")
+	if err != nil {
+		return err
 	}
 	encoded = append(encoded, '\n')
 	if *out != "" {
 		if err := os.WriteFile(*out, encoded, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
 	os.Stdout.Write(encoded)
-
-	if *compareFlag != "" {
-		n, err := compare(*compareFlag, *tolerance, results)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if n > 0 {
-			fmt.Fprintf(os.Stderr, "%d benchmark regression(s) past %.0f%% tolerance\n",
-				n, 100**tolerance)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "benchmark gate passed (%d records compared against %s)\n",
-			len(results), *compareFlag)
+	if *compareFlag == "" {
+		return nil
 	}
+	n, err := compare(*compareFlag, tolerance, results)
+	if err != nil {
+		return err
+	}
+	if n > 0 {
+		return fmt.Errorf("%d benchmark regression(s) past %.0f%% tolerance", n, 100*tolerance)
+	}
+	fmt.Fprintf(os.Stderr, "benchmark gate passed (%d records compared against %s)\n",
+		len(results), *compareFlag)
+	return nil
 }

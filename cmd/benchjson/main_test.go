@@ -6,7 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"geobalance/internal/metrics"
+	"geobalance/internal/router"
 )
 
 func writeBaseline(t *testing.T, rep report) string {
@@ -101,5 +105,90 @@ func TestGeoParallelRecordsBackToBack(t *testing.T) {
 	}
 	if err := geo.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// geoParallelRecords runs the geo parallel cases on their own, in table
+// order. A failed run comes back as no records.
+func geoParallelRecords(geo *router.Geo, keys []string, label string, nprocs int) []result {
+	recs, _ := measure(geoParallel(geo.Router, keys, label, nprocs))
+	return recs
+}
+
+// oneIteration runs every testing.Benchmark body of the test at b.N=1.
+func oneIteration(t *testing.T) {
+	t.Helper()
+	old := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "1x"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { flag.Set("test.benchtime", old) })
+}
+
+// TestEveryCaseRuns runs each non-loadgen case of the suite once, so a
+// broken case fails here and not only in the benchmark job.
+func TestEveryCaseRuns(t *testing.T) {
+	oneIteration(t)
+	cs, err := cases(t.TempDir(), metrics.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]bool, len(cs))
+	for _, c := range cs {
+		if seen[c.name] {
+			t.Errorf("case name %s is not unique", c.name)
+		}
+		seen[c.name] = true
+		if c.load != nil {
+			continue
+		}
+		r, err := runOnce(c)
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if _, err := json.Marshal(r); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestInstrumentedRouterIsolated pins that the metrics hook on the
+// instrumented case's router does not ride along into the bounded and
+// journaled cases, whose records are deltas against the hook-free
+// router_geo_place.
+func TestInstrumentedRouterIsolated(t *testing.T) {
+	oneIteration(t)
+	reg := metrics.NewRegistry()
+	cs, err := cases(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	places := reg.Counter("router_places_total", "keys placed")
+	locates := reg.Counter("router_locates_total", "lookups served (Locate and LocateAny)")
+	ran := 0
+	for _, c := range cs {
+		switch {
+		case strings.HasPrefix(c.name, "router_geo_locate_instrumented/"):
+			before := locates.Value()
+			if _, err := runOnce(c); err != nil {
+				t.Fatal(err)
+			}
+			if locates.Value() == before {
+				t.Errorf("%s: router_locates_total did not move; the registry is not the instrumented router's", c.name)
+			}
+		case strings.HasPrefix(c.name, "router_place_bounded/"), strings.HasPrefix(c.name, "router_place_journaled/"):
+			ran++
+			before := places.Value()
+			if _, err := runOnce(c); err != nil {
+				t.Fatal(err)
+			}
+			if got := places.Value(); got != before {
+				t.Errorf("%s: router_places_total moved %d -> %d; the metrics hook leaked into it", c.name, before, got)
+			}
+		}
+	}
+	if ran != 2 {
+		t.Fatalf("ran %d of the bounded and journaled cases, want 2", ran)
 	}
 }
